@@ -7,6 +7,7 @@ bound is met.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -23,8 +24,11 @@ from .instances import (
     FIXTURES,
     FORMAT_HEADER,
     InstanceFile,
+    format_fraction,
     parse,
     parse_dimacs,
+    parse_fraction,
+    parse_int,
     serialize,
 )
 from .listcolor import Request, check_coloring, satisfied_amount
@@ -60,11 +64,6 @@ def _load_instance(path: str) -> InstanceFile:
         size = d if d == delta else d + 1
         L[v] = set(range(1, max(size, 1) + 1))
     return InstanceFile(g, L)
-
-
-def _fmt(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _emit(lines: list, out: Optional[str]) -> None:
@@ -133,7 +132,7 @@ def _solve(args) -> int:
         certified = outcome.certified_fraction
         lines += [
             f"satisfied {satisfied}",
-            f"certified {_fmt(certified)}",
+            f"certified {format_fraction(certified)}",
             f"total {total}",
             f"degeneracy {outcome.ordering.k}",
             "order " + " ".join(str(v) for v in outcome.ordering.order),
@@ -211,9 +210,9 @@ def _solve(args) -> int:
         raise PreconditionError(f"unknown method {method!r}")
 
     lines += [
-        f"satisfied {_fmt(satisfied)}",
-        f"certified {_fmt(certified)}",
-        f"total {_fmt(total)}",
+        f"satisfied {format_fraction(satisfied)}",
+        f"certified {format_fraction(certified)}",
+        f"total {format_fraction(total)}",
     ]
     for v in sorted(coloring):
         lines.append(f"color {v} {coloring[v]}")
@@ -230,7 +229,7 @@ def _oracle(args) -> int:
     res = optimal_satisfaction(inst.g, inst.L, inst.request, args.budget)
     lines = [
         ORACLE_HEADER,
-        f"optimum {_fmt(res.optimum)}",
+        f"optimum {format_fraction(res.optimum)}",
         f"colorable {'yes' if res.colorable else 'no'}",
         f"enumerated {res.enumerated}",
     ]
@@ -261,33 +260,53 @@ def _generate(args) -> int:
     return 0
 
 
+# argument count of each result key; None admits any count
+_RESULT_ARITY = {
+    "method": 1,
+    "satisfied": 1,
+    "certified": 1,
+    "total": 1,
+    "color": 2,
+    "degeneracy": 1,
+    "order": None,
+    "first": None,
+    "bound-met": 1,
+}
+
+
 def _parse_result(text: str) -> dict:
     lines = text.splitlines()
     if not lines or lines[0] != RESULT_HEADER:
         raise FormatError(f"missing header {RESULT_HEADER!r}", line=1)
     doc: dict = {"coloring": {}}
     for i, raw in enumerate(lines[1:], start=2):
-        toks = raw.split(" ")
-        key, args = toks[0], toks[1:]
+        key, *args = raw.split(" ")
+        if key not in _RESULT_ARITY:
+            raise FormatError(f"unknown key {key!r}", line=i)
+        arity = _RESULT_ARITY[key]
+        if arity is not None and len(args) != arity:
+            raise FormatError(
+                f"{key} takes {arity} argument(s), got {len(args)}", line=i
+            )
         if key == "method":
             doc["method"] = args[0]
         elif key in ("satisfied", "certified", "total"):
-            try:
-                doc[key] = Fraction(args[0])
-            except (ValueError, ZeroDivisionError):
-                raise FormatError(f"bad rational {args[0]!r}", line=i)
+            doc[key] = parse_fraction(args[0], i, "rational")
         elif key == "color":
-            doc["coloring"][int(args[0])] = int(args[1])
+            v, c = (parse_int(a, i, "color field") for a in args)
+            if v in doc["coloring"]:
+                raise FormatError(f"second color line for vertex {v}", line=i)
+            doc["coloring"][v] = c
         elif key == "degeneracy":
-            doc["degeneracy"] = int(args[0])
+            doc["degeneracy"] = parse_int(args[0], i, "degeneracy")
         elif key == "order":
-            doc["order"] = tuple(int(a) for a in args)
+            doc["order"] = tuple(parse_int(a, i, "order entry") for a in args)
         elif key == "first":
-            doc["first"] = frozenset(int(a) for a in args)
-        elif key == "bound-met":
-            doc["bound_met"] = args[0] == "yes"
+            doc["first"] = frozenset(parse_int(a, i, "first entry") for a in args)
         else:
-            raise FormatError(f"unknown key {key!r}", line=i)
+            if args[0] not in ("yes", "no"):
+                raise FormatError("bound-met takes yes or no", line=i)
+            doc["bound_met"] = args[0] == "yes"
     for needed in ("method", "satisfied", "certified", "total"):
         if needed not in doc:
             raise FormatError(f"result misses {needed!r}")
@@ -322,6 +341,11 @@ def _verify(args) -> int:
         satisfied = Fraction(len(true_first & request.domain()))
     else:
         coloring = doc["coloring"]
+        stray = [v for v in coloring if not 0 <= v < g.n]
+        if stray:
+            raise PreconditionError(
+                f"result colors vertex {stray[0]}, outside 0..{g.n - 1}"
+            )
         check_coloring(g, L, coloring)
         satisfied = Fraction(satisfied_amount(g, L, coloring, request))
 
@@ -331,7 +355,10 @@ def _verify(args) -> int:
             f"recomputed {satisfied}"
         )
     met = satisfied >= doc["certified"] * doc["total"]
-    print(f"verified satisfied={_fmt(satisfied)} bound-met={'yes' if met else 'no'}")
+    print(
+        f"verified satisfied={format_fraction(satisfied)} "
+        f"bound-met={'yes' if met else 'no'}"
+    )
     return 0 if met else 1
 
 
@@ -355,10 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="run a solver on an instance")
     slv.add_argument("instance")
     slv.add_argument("--method", choices=METHODS, required=True)
-    slv.add_argument("--seed", type=int, default=0)
     slv.add_argument("--independent-set", choices=("greedy", "brooks"), default=None)
     slv.add_argument("--lam", default=None)
-    slv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     slv.add_argument("--out", default=None)
     slv.set_defaults(func=_solve)
 
@@ -375,8 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

@@ -43,8 +43,9 @@ class InstanceFile:
             self.forest.validate(self.g)
 
 
-def _fmt_weight(w) -> str:
-    f = Fraction(w)
+def format_fraction(x) -> str:
+    """The canonical spelling of a rational: "7" or "7/2", never "7/1"."""
+    f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -78,33 +79,71 @@ def serialize(inst: InstanceFile) -> str:
         elif r.kind == "unique":
             for v in sorted(r.prefs):
                 lines.append(
-                    f"request {v} {r.prefs[v]} {_fmt_weight(r.weights[v])}"
+                    f"request {v} {r.prefs[v]} {format_fraction(r.weights[v])}"
                 )
         else:
             for (v, c) in sorted(r.table):
-                lines.append(f"request {v} {c} {_fmt_weight(r.table[(v, c)])}")
+                lines.append(f"request {v} {c} {format_fraction(r.table[(v, c)])}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(tok: str, lineno: int, what: str) -> int:
+def parse_int(tok: str, lineno: int, what: str) -> int:
+    """The integer `tok` spells, which must be written as str() writes it:
+    ASCII digits, an optional "-", no "+" and no leading zeros."""
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
-        raise FormatError(f"{what} must be an integer, got {tok!r}", line=lineno)
+        value = None
+    if value is None or str(value) != tok:
+        raise FormatError(
+            f"{what} must be a canonical integer, got {tok!r}", line=lineno
+        )
+    return value
 
 
-def _parse_weight(tok: str, lineno: int) -> Fraction:
+def parse_fraction(tok: str, lineno: int, what: str) -> Fraction:
+    """The rational `tok` spells, which must be written as
+    format_fraction writes it."""
+    num, _, den = tok.partition("/")
     try:
-        return Fraction(tok)
+        value = Fraction(int(num), int(den) if den else 1)
     except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad weight {tok!r}", line=lineno)
+        value = None
+    if value is None or format_fraction(value) != tok:
+        raise FormatError(f"bad {what} {tok!r}", line=lineno)
+    return value
+
+
+# section ranks keep the canonical order enforceable; only the keys in
+# _REPEATED may take more than one line
+_RANKS = {
+    "name": 1,
+    "seed": 2,
+    "vertices": 3,
+    "edge": 4,
+    "list": 5,
+    "ktree": 6,
+    "order": 7,
+    "td-parent": 8,
+    "request-kind": 9,
+    "request": 10,
+}
+_REPEATED = frozenset({"edge", "list", "request"})
 
 
 def parse(text: str) -> InstanceFile:
-    """Strict parser; sections must appear in canonical order."""
-    lines = text.splitlines()
-    if not lines or lines[0] != FORMAT_HEADER:
+    """Strict parser that accepts exactly what `serialize` writes.
+
+    Sections come in canonical order; edge and request lines strictly
+    increase, lists come in vertex order, and every number is spelled
+    canonically.  The order checks also find a duplicate line with one
+    comparison, which keeps parsing linear in the document size.
+    """
+    lines = text.split("\n")
+    if lines[0] != FORMAT_HEADER:
         raise FormatError(f"missing header {FORMAT_HEADER!r}", line=1)
+    if lines[-1]:
+        raise FormatError("document must end with a newline", line=len(lines))
     name = ""
     seed: Optional[int] = None
     n: Optional[int] = None
@@ -114,34 +153,20 @@ def parse(text: str) -> InstanceFile:
     kt_k: Optional[int] = None
     forest: Optional[TreedepthForest] = None
     kind: Optional[str] = None
+    last_request = None
     prefs: dict = {}
     weights: dict = {}
     table: dict = {}
-    # section ranks keep the canonical order enforceable
-    RANKS = {
-        "name": 1,
-        "seed": 2,
-        "vertices": 3,
-        "edge": 4,
-        "list": 5,
-        "ktree": 6,
-        "order": 7,
-        "td-parent": 8,
-        "request-kind": 9,
-        "request": 10,
-    }
     rank = 0
-    for i, raw in enumerate(lines[1:], start=2):
+    for i, raw in enumerate(lines[1:-1], start=2):
         if not raw.strip():
             raise FormatError("blank line not allowed", line=i)
-        toks = raw.split(" ")
-        key = toks[0]
-        if key not in RANKS:
+        key, *args = raw.split(" ")
+        if key not in _RANKS:
             raise FormatError(f"unknown key {key!r}", line=i)
-        if RANKS[key] < rank:
-            raise FormatError(f"key {key!r} out of order", line=i)
-        rank = RANKS[key]
-        args = toks[1:]
+        if _RANKS[key] < rank or (_RANKS[key] == rank and key not in _REPEATED):
+            raise FormatError(f"key {key!r} out of order or repeated", line=i)
+        rank = _RANKS[key]
         if key == "name":
             if len(args) != 1 or not args[0]:
                 raise FormatError("name takes one token", line=i)
@@ -149,11 +174,11 @@ def parse(text: str) -> InstanceFile:
         elif key == "seed":
             if len(args) != 1:
                 raise FormatError("seed takes one integer", line=i)
-            seed = _parse_int(args[0], i, "seed")
+            seed = parse_int(args[0], i, "seed")
         elif key == "vertices":
             if len(args) != 1:
                 raise FormatError("vertices takes one integer", line=i)
-            n = _parse_int(args[0], i, "vertex count")
+            n = parse_int(args[0], i, "vertex count")
             if n <= 0:
                 raise FormatError("vertex count must be positive", line=i)
         elif key == "edge":
@@ -161,25 +186,33 @@ def parse(text: str) -> InstanceFile:
                 raise FormatError("edge before vertices", line=i)
             if len(args) != 2:
                 raise FormatError("edge takes two endpoints", line=i)
-            u, v = (_parse_int(a, i, "endpoint") for a in args)
+            u, v = (parse_int(a, i, "endpoint") for a in args)
             if not (0 <= u < v < n):
                 raise FormatError(
                     f"edge ({u},{v}) must satisfy 0 <= u < v < {n}", line=i
                 )
-            if (u, v) in edges:
-                raise FormatError(f"duplicate edge ({u},{v})", line=i)
+            if edges and (u, v) <= edges[-1]:
+                a, b = edges[-1]
+                raise FormatError(
+                    f"edge ({u},{v}) after ({a},{b}): edge lines must strictly "
+                    "increase",
+                    line=i,
+                )
             edges.append((u, v))
         elif key == "list":
             if n is None:
                 raise FormatError("list before vertices", line=i)
             if len(args) < 2:
                 raise FormatError("list needs a vertex and colors", line=i)
-            v = _parse_int(args[0], i, "list vertex")
+            v = parse_int(args[0], i, "list vertex")
             if not (0 <= v < n):
                 raise FormatError(f"list vertex {v} out of range", line=i)
-            if v in L:
-                raise FormatError(f"duplicate list for vertex {v}", line=i)
-            cols = [_parse_int(a, i, "color") for a in args[1:]]
+            if v != len(L):
+                raise FormatError(
+                    f"list of vertex {v} out of order, expected vertex {len(L)}",
+                    line=i,
+                )
+            cols = [parse_int(a, i, "color") for a in args[1:]]
             if cols != sorted(set(cols)):
                 raise FormatError(
                     f"colors of vertex {v} must be strictly increasing", line=i
@@ -188,11 +221,11 @@ def parse(text: str) -> InstanceFile:
         elif key == "ktree":
             if len(args) != 1:
                 raise FormatError("ktree takes one integer", line=i)
-            kt_k = _parse_int(args[0], i, "ktree parameter")
+            kt_k = parse_int(args[0], i, "ktree parameter")
         elif key == "order":
             if kt_k is None:
                 raise FormatError("order requires a preceding ktree line", line=i)
-            seq = tuple(_parse_int(a, i, "order entry") for a in args)
+            seq = tuple(parse_int(a, i, "order entry") for a in args)
             if sorted(seq) != list(range(n or 0)):
                 raise FormatError("order is not a vertex permutation", line=i)
             ktree = KTreeOrder(kt_k, seq)
@@ -201,7 +234,9 @@ def parse(text: str) -> InstanceFile:
                 raise FormatError(
                     f"td-parent needs exactly {n} entries", line=i
                 )
-            ps = [_parse_int(a, i, "parent") for a in args]
+            ps = [parse_int(a, i, "parent") for a in args]
+            if not all(-1 <= p < n for p in ps):
+                raise FormatError("a parent must be -1 or a vertex", line=i)
             forest = TreedepthForest(
                 tuple(None if p == -1 else p for p in ps)
             )
@@ -212,54 +247,41 @@ def parse(text: str) -> InstanceFile:
         elif key == "request":
             if kind is None:
                 raise FormatError("request before request-kind", line=i)
-            if kind == "unweighted":
-                if len(args) != 2:
-                    raise FormatError("request takes vertex and color", line=i)
-                v, c = (_parse_int(a, i, "request field") for a in args)
-                if v in prefs:
-                    raise FormatError(f"duplicate request at vertex {v}", line=i)
-                prefs[v] = c
+            if kind == "unweighted" and len(args) != 2:
+                raise FormatError("request takes vertex and color", line=i)
+            if kind != "unweighted" and len(args) != 3:
+                raise FormatError(
+                    "request takes vertex, color and weight", line=i
+                )
+            v = parse_int(args[0], i, "request vertex")
+            c = parse_int(args[1], i, "request color")
+            # serialize sorts by vertex, and a weighted table by color next
+            at = (v, c) if kind == "weighted" else v
+            if last_request is not None and at <= last_request:
+                raise FormatError("request lines must strictly increase", line=i)
+            last_request = at
+            if kind == "weighted":
+                table[(v, c)] = parse_fraction(args[2], i, "weight")
             else:
-                if len(args) != 3:
-                    raise FormatError(
-                        "request takes vertex, color and weight", line=i
-                    )
-                v = _parse_int(args[0], i, "request vertex")
-                c = _parse_int(args[1], i, "request color")
-                w = _parse_weight(args[2], i)
+                prefs[v] = c
                 if kind == "unique":
-                    if v in prefs:
-                        raise FormatError(
-                            f"duplicate request at vertex {v}", line=i
-                        )
-                    prefs[v] = c
-                    weights[v] = w
-                else:
-                    if (v, c) in table:
-                        raise FormatError(
-                            f"duplicate request at ({v},{c})", line=i
-                        )
-                    table[(v, c)] = w
+                    weights[v] = parse_fraction(args[2], i, "weight")
     if n is None:
         raise FormatError("missing vertices line")
-    if set(L) != set(range(n)):
-        missing = sorted(set(range(n)) - set(L))
-        raise FormatError(f"missing lists for vertices {missing}")
+    if len(L) != n:
+        raise FormatError(f"missing lists for vertices {list(range(len(L), n))}")
     if ktree is None and kt_k is not None:
         raise FormatError("ktree line without an order line")
     try:
         g = Graph(n, edges)
-    except PreconditionError as exc:
-        raise FormatError(str(exc))
-    request = None
-    if kind == "unweighted":
-        request = Request("unweighted", prefs=prefs)
-    elif kind == "unique":
-        request = Request("unique", prefs=prefs, weights=weights)
-    elif kind == "weighted":
-        request = Request("weighted", table=table)
-    inst = InstanceFile(g, L, request, ktree, forest, name, seed)
-    try:
+        request = None
+        if kind == "unweighted":
+            request = Request("unweighted", prefs=prefs)
+        elif kind == "unique":
+            request = Request("unique", prefs=prefs, weights=weights)
+        elif kind == "weighted":
+            request = Request("weighted", table=table)
+        inst = InstanceFile(g, L, request, ktree, forest, name, seed)
         inst.validate()
     except PreconditionError as exc:
         raise FormatError(str(exc))
@@ -282,15 +304,15 @@ def parse_dimacs(text: str) -> Graph:
                 raise FormatError("second problem line", line=i)
             if len(toks) != 4 or toks[1] != "edge":
                 raise FormatError("problem line must be 'p edge n m'", line=i)
-            n = _parse_int(toks[2], i, "vertex count")
-            m = _parse_int(toks[3], i, "edge count")
+            n = parse_int(toks[2], i, "vertex count")
+            m = parse_int(toks[3], i, "edge count")
         elif toks[0] == "e":
             if n is None:
                 raise FormatError("edge before problem line", line=i)
             if len(toks) != 3:
                 raise FormatError("edge line must be 'e u v'", line=i)
-            u = _parse_int(toks[1], i, "endpoint") - 1
-            v = _parse_int(toks[2], i, "endpoint") - 1
+            u = parse_int(toks[1], i, "endpoint") - 1
+            v = parse_int(toks[2], i, "endpoint") - 1
             if not (0 <= u < n and 0 <= v < n):
                 raise FormatError(f"endpoint out of range on line {i}", line=i)
             edges.append((u, v))
@@ -534,11 +556,10 @@ def random_ktree(
         raise PreconditionError(f"a {k}-tree needs at least {k + 1} vertices")
     rng = random.Random(seed)
     edges = [(a, b) for a, b in combinations(range(k + 1), 2)]
-    cliques = [tuple(range(k + 1))]
-    for c in combinations(range(k + 1), k):
-        cliques.append(tuple(c))
+    # the k-cliques a new vertex may attach to, in creation order
+    cliques = list(combinations(range(k + 1), k))
     for v in range(k + 1, n):
-        base = rng.choice([c for c in cliques if len(c) == k])
+        base = rng.choice(cliques)
         for u in base:
             edges.append((u, v))
         for sub in combinations(base, k - 1):

@@ -108,6 +108,56 @@ class TestSolveAndVerify:
         assert open(a).read() == open(b).read()
 
 
+class TestMalformedInput:
+    """A malformed document ends in exit status 2 and one error line."""
+
+    def solved(self, capsys, tmp_path):
+        inst = tmp_path / "inst.fi"
+        inst.write_text(serialize(random_ktree(1, 9, 2)))
+        res = tmp_path / "r.txt"
+        run(["solve", str(inst), "--method", "two-tree", "--out", str(res)], capsys)
+        return str(inst), res
+
+    def error_line(self, capsys, argv):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and len(err.splitlines()) == 1, err
+        return err
+
+    def test_non_integer_color_vertex(self, capsys, tmp_path):
+        inst, res = self.solved(capsys, tmp_path)
+        res.write_text(res.read_text().replace("color 3 ", "color x ", 1))
+        err = self.error_line(capsys, ["verify", inst, str(res)])
+        assert err.startswith("error format")
+
+    def test_bare_method_line(self, capsys, tmp_path):
+        inst, res = self.solved(capsys, tmp_path)
+        res.write_text(res.read_text().replace("method two-tree\n", "method\n"))
+        err = self.error_line(capsys, ["verify", inst, str(res)])
+        assert err.startswith("error format")
+
+    def test_color_for_missing_vertex(self, capsys, tmp_path):
+        inst, res = self.solved(capsys, tmp_path)
+        res.write_text(res.read_text() + "color 99 1\n")
+        err = self.error_line(capsys, ["verify", inst, str(res)])
+        assert err.startswith("error precondition") and "99" in err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("edge 0 1\n", "edge 0 1\nedge 0 1\n"),
+            ("edge 0 1\nedge 0 2\n", "edge 0 2\nedge 0 1\n"),
+            ("edge 0 1\n", "edge 0 01\n"),
+        ],
+    )
+    def test_malformed_instance(self, capsys, tmp_path, old, new):
+        text = serialize(random_ktree(1, 9, 2))
+        assert old in text
+        inst = tmp_path / "inst.fi"
+        inst.write_text(text.replace(old, new))
+        err = self.error_line(capsys, ["solve", str(inst), "--method", "two-tree"])
+        assert err.startswith("error format")
+
+
 class TestOracleCommand:
     def test_diamond_zero(self, capsys, tmp_path):
         p = tmp_path / "d.fi"

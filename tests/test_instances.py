@@ -1,6 +1,11 @@
 import random
+import re
+import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexicolor.errors import FormatError
 from flexicolor.instances import (
@@ -88,6 +93,40 @@ class TestParserDiagnostics:
         text = self.good().replace("list 3 1 3\n", "")
         with pytest.raises(FormatError, match="missing lists"):
             parse(text)
+
+    def test_swapped_edge_lines_line_number(self):
+        text = self.good().replace("edge 0 1\nedge 0 2\n", "edge 0 2\nedge 0 1\n")
+        with pytest.raises(FormatError, match="strictly increase") as e:
+            parse(text)
+        assert e.value.line == 5
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("edge 0 1\n", "edge 0 +1\n"),
+            ("edge 0 1\n", "edge 0 01\n"),
+            ("edge 0 1\n", "edge 0 \u0661\n"),
+            ("list 0 1 2\n", "list 0 1 +2\n"),
+            ("vertices 4\n", "vertices 4\nvertices 4\n"),
+            ("list 0 1 2\nlist 1 1 2 3\n", "list 1 1 2 3\nlist 0 1 2\n"),
+            ("request 0 2\nrequest 1 1\n", "request 1 1\nrequest 0 2\n"),
+        ],
+    )
+    def test_non_canonical_document_rejected(self, old, new):
+        text = self.good()
+        assert old in text
+        with pytest.raises(FormatError):
+            parse(text.replace(old, new))
+
+    def test_non_canonical_weight_rejected(self):
+        text = serialize(random_treedepth(1, 6, 2))
+        assert text.splitlines()[-1].startswith("request ")
+        with pytest.raises(FormatError, match="weight"):
+            parse(text[:-1] + "/1\n")
+
+    def test_missing_final_newline(self):
+        with pytest.raises(FormatError, match="newline"):
+            parse(self.good()[:-1])
 
     def test_bad_weight(self):
         inst = random_treedepth(1, 6, 2)
@@ -181,3 +220,77 @@ class TestRandomFamilies:
         a = random_bounded_degree(9, 10, 3)
         b = random_bounded_degree(9, 10, 3)
         assert serialize(a) == serialize(b)
+
+
+# a token that spells an integer or a rational, in any spelling
+NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+@lru_cache(maxsize=None)
+def canonical_documents() -> tuple:
+    insts = [make() for make in FIXTURES.values()] + [
+        random_bounded_degree(1, 9, 3),
+        random_bounded_degree(2, 10, 4, request_kind="weighted"),
+        random_ktree(2, 9, 2),
+        random_ktree(3, 8, 3, request_kind="unweighted"),
+        random_treedepth(3, 9, 3),
+        random_treedepth(5, 8, 3, request_kind="weighted"),
+        random_three_connected(4, 12),
+    ]
+    return tuple(serialize(inst) for inst in insts)
+
+
+def mutate(text: str, data) -> str:
+    """One sign, leading zero, swap of two edge lines or duplicated line."""
+    lines = text.split("\n")[:-1]
+    kind = data.draw(st.sampled_from(["sign", "zero", "swap", "duplicate"]))
+    if kind in ("sign", "zero"):
+        spots = [
+            (i, j)
+            for i, line in enumerate(lines)
+            for j, tok in enumerate(line.split(" "))
+            if NUMBER.fullmatch(tok)
+        ]
+        i, j = data.draw(st.sampled_from(spots))
+        toks = lines[i].split(" ")
+        prefix = data.draw(st.sampled_from("+-")) if kind == "sign" else "0"
+        toks[j] = prefix + toks[j]
+        lines[i] = " ".join(toks)
+    elif kind == "swap":
+        rows = [i for i, line in enumerate(lines) if line.startswith("edge ")]
+        pair = st.lists(st.sampled_from(rows), min_size=2, max_size=2, unique=True)
+        a, b = data.draw(pair)
+        lines[a], lines[b] = lines[b], lines[a]
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+class TestCanonicalBothWays:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_document_rejected_or_round_trips(self, data):
+        mutated = mutate(data.draw(st.sampled_from(canonical_documents())), data)
+        try:
+            inst = parse(mutated)
+        except FormatError:
+            return
+        assert serialize(inst) == mutated
+
+
+class TestParseScaling:
+    def test_parse_time_linear_in_document(self):
+        def best_of_three(n):
+            text = serialize(random_ktree(1, n, 2, request_size=n // 4))
+            best = float("inf")
+            for _ in range(3):
+                start = time.process_time()
+                parse(text)
+                best = min(best, time.process_time() - start)
+            return best
+
+        # four times the vertices: linear parsing takes about 4 times as
+        # long, a quadratic duplicate-edge scan about 15 times
+        ratio = best_of_three(16000) / best_of_three(4000)
+        assert ratio < 8, ratio
