@@ -174,7 +174,9 @@ def _solve(args) -> int:
             )
         if not args.lam:
             raise PreconditionError("method lambda needs --lam, e.g. --lam 1,2")
-        lam = tuple(int(p) for p in args.lam.split(","))
+        lam = tuple(parse_int(p, None, "--lam part") for p in args.lam.split(","))
+        if min(lam) < 1:
+            raise PreconditionError(f"--lam parts must be positive, got {args.lam}")
         classes = _infer_classes(L, lam)
         family = lambda_family(g, inst.ktree, lam, classes, L)
         coloring = best_of_family(g, L, family, request)
@@ -339,6 +341,7 @@ def _verify(args) -> int:
                 "result marks vertices as first among neighbors that are not"
             )
         satisfied = Fraction(len(true_first & request.domain()))
+        total = len(request.domain())
     else:
         coloring = doc["coloring"]
         stray = [v for v in coloring if not 0 <= v < g.n]
@@ -348,13 +351,25 @@ def _verify(args) -> int:
             )
         check_coloring(g, L, coloring)
         satisfied = Fraction(satisfied_amount(g, L, coloring, request))
+        total = request.total()
 
     if satisfied != doc["satisfied"]:
         raise PreconditionError(
             f"stated satisfied amount {doc['satisfied']} differs from the "
             f"recomputed {satisfied}"
         )
-    met = satisfied >= doc["certified"] * doc["total"]
+    if total != doc["total"]:
+        raise PreconditionError(
+            f"stated total {doc['total']} differs from the recomputed {total}"
+        )
+    # the certified fraction is taken as stated; only the total and the
+    # verdict are recomputed
+    met = satisfied >= doc["certified"] * total
+    if doc.get("bound_met", met) != met:
+        raise PreconditionError(
+            f"stated bound-met {'yes' if doc['bound_met'] else 'no'} differs "
+            f"from the recomputed {'yes' if met else 'no'}"
+        )
     print(
         f"verified satisfied={format_fraction(satisfied)} "
         f"bound-met={'yes' if met else 'no'}"

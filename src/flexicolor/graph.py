@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .errors import (
     DisconnectedGraphError,
@@ -108,27 +108,29 @@ class Graph:
         return dist
 
     def power(self, d: int) -> "Graph":
-        """Graph with edges between distinct vertices at distance <= d."""
+        """Graph with edges between distinct vertices at distance <= d.
+
+        A d-step breadth-first search from each source visits only what
+        lies within distance d, so bounded degree keeps the cost linear.
+        """
         if d < 1:
             raise PreconditionError(f"power must be >= 1, got {d}")
         if d == 1:
             return self
+        adj = self._adj
         edges = []
         for s in range(self.n):
-            dist = [-1] * self.n
-            dist[s] = 0
-            q = deque([s])
-            while q:
-                v = q.popleft()
-                if dist[v] == d:
-                    continue
-                for u in self._adj[v]:
-                    if dist[u] < 0:
-                        dist[u] = dist[v] + 1
-                        q.append(u)
-            for t in range(s + 1, self.n):
-                if dist[t] > 0:
-                    edges.append((s, t))
+            seen = {s}
+            frontier = [s]
+            for _ in range(d):
+                nxt = []
+                for v in frontier:
+                    for u in adj[v]:
+                        if u not in seen:
+                            seen.add(u)
+                            nxt.append(u)
+                frontier = nxt
+            edges.extend((s, t) for t in seen if t > s)
         return Graph(self.n, edges)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
@@ -141,6 +143,43 @@ class Graph:
             if u in pos and v in pos
         ]
         return Graph(len(ids), edges), ids
+
+    def component_without(
+        self, source: int, removed: Container[int]
+    ) -> tuple[list[int], "Graph"]:
+        """The component of source once the vertices in `removed` (other
+        than source) are deleted: its sorted vertices and the subgraph
+        they induce, vertex i standing for the i-th of them.  Walks only
+        that component's adjacency."""
+        adj = self._adj
+        comp = [source]
+        seen = {source}
+        for v in comp:
+            for u in adj[v]:
+                if u not in seen and u not in removed:
+                    seen.add(u)
+                    comp.append(u)
+        comp.sort()
+        pos = {v: i for i, v in enumerate(comp)}
+        edges = [
+            (pos[v], pos[u]) for v in comp for u in adj[v] if v < u and u in pos
+        ]
+        return comp, Graph(len(comp), edges)
+
+    def components_without(
+        self, removed: Container[int]
+    ) -> list[tuple[list[int], "Graph"]]:
+        """Every component of the graph minus `removed`, ordered by
+        smallest vertex, each as component_without gives it."""
+        out = []
+        done: set[int] = set()
+        for s in range(self.n):
+            if s in removed or s in done:
+                continue
+            comp, sub = self.component_without(s, removed)
+            done.update(comp)
+            out.append((comp, sub))
+        return out
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -193,13 +232,14 @@ class BlockCutTree:
         return all(b.tag in ("clique", "odd-cycle") for b in self.blocks)
 
 
-def _classify_block(g: Graph, vertices: tuple[int, ...]) -> str:
-    # Precedence clique > odd-cycle, so K3 is tagged "clique".
-    k = len(vertices)
-    sub, _ = g.induced(vertices)
-    if sub.is_complete():
+def _block_tag(k: int, m: int) -> str:
+    """Tag of a block with k vertices and m edges.  A block is a bridge
+    or 2-connected, so it is a clique exactly when m = k(k-1)/2 and a
+    cycle exactly when m = k.  Precedence clique > odd-cycle, so K3 is
+    tagged "clique"."""
+    if m == k * (k - 1) // 2:
         return "clique"
-    if sub.is_cycle() and k % 2 == 1:
+    if m == k and k % 2 == 1:
         return "odd-cycle"
     return "other"
 
@@ -282,7 +322,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         for v in cuts_in:
             tree_edges.append((i, v))
         terminal = len(cuts_in) <= 1
-        final_blocks.append(Block(vs, es, _classify_block(g, vs), terminal))
+        final_blocks.append(Block(vs, es, _block_tag(len(vs), len(es)), terminal))
     return BlockCutTree(tuple(final_blocks), cut_vertices, tuple(tree_edges))
 
 

@@ -87,7 +87,7 @@ def serialize(inst: InstanceFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_int(tok: str, lineno: int, what: str) -> int:
+def parse_int(tok: str, lineno: Optional[int], what: str) -> int:
     """The integer `tok` spells, which must be written as str() writes it:
     ASCII digits, an optional "-", no "+" and no leading zeros."""
     try:

@@ -292,12 +292,9 @@ def precolor_and_extend(
             raise PreconditionError(
                 f"vertex {v} has no colors left after fixing its neighbors"
             )
-    sub, ids = g.induced(rest)
     out = dict(fixed)
-    for comp in sub.components():
-        comp_g, comp_pos = sub.induced(comp)
-        comp_ids = [ids[i] for i in comp_pos]
-        comp_L = {i: pruned[comp_ids[i]] for i in range(comp_g.n)}
+    for comp_ids, comp_g in g.components_without(fixed_set):
+        comp_L = {i: pruned[v] for i, v in enumerate(comp_ids)}
         res = degree_choosable_coloring(comp_g, comp_L, component_cap)
         if isinstance(res, Infeasible):
             return Infeasible(

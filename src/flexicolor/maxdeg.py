@@ -89,25 +89,11 @@ def classify_components(g: Graph, L: dict, S: set, prefs: dict) -> list:
             raise PreconditionError(
                 f"requested color {prefs[r]} at vertex {r} is not in its list"
             )
-    rest = [v for v in range(g.n) if v not in S]
-    pruned = {
-        v: frozenset(set(L[v]) - {prefs[r] for r in g.neighbors(v) if r in S})
-        for v in rest
-    }
-    sub, ids = g.induced(rest)
     reports = []
-    for comp in sub.components():
-        comp_g, pos = sub.induced(comp)
-        orig = tuple(ids[i] for i in pos)
-        comp_lists = {v: pruned[v] for v in orig}
-        for i, v in enumerate(orig):
-            if len(comp_lists[v]) < comp_g.degree(i):
-                raise InternalInvariantError(
-                    f"pruned list at vertex {v} fell below its component degree"
-                )
-        tight = all(
-            len(comp_lists[v]) == comp_g.degree(i) for i, v in enumerate(orig)
-        )
+    for ids, comp_g in g.components_without(S):
+        orig = tuple(ids)
+        comp_lists = {v: _pruned_list(g, L, S, prefs, v) for v in orig}
+        tight = _tightness(comp_g, orig, comp_lists)
         bct = block_cut_tree(comp_g)
         block_tags = tuple(
             (tuple(orig[i] for i in b.vertices), b.tag) for b in bct.blocks
@@ -122,6 +108,30 @@ def classify_components(g: Graph, L: dict, S: set, prefs: dict) -> list:
     return reports
 
 
+def _pruned_list(
+    g: Graph, L: dict, S: set, prefs: dict, v: int, freed: Optional[int] = None
+) -> frozenset:
+    """L(v) minus the requested colors of v's neighbors in S other than
+    `freed`."""
+    return frozenset(
+        set(L[v]) - {prefs[r] for r in g.neighbors(v) if r in S and r != freed}
+    )
+
+
+def _tightness(comp_g: Graph, orig: tuple, comp_lists: dict) -> bool:
+    """Whether every pruned list of a component is tight to its degree
+    there; a list below that degree is a bug."""
+    tight = True
+    for i, v in enumerate(orig):
+        size, deg = len(comp_lists[v]), comp_g.degree(i)
+        if size < deg:
+            raise InternalInvariantError(
+                f"pruned list at vertex {v} fell below its component degree"
+            )
+        tight = tight and size == deg
+    return tight
+
+
 def _check_terminal_counting(
     g: Graph, reports: list, S: set, delta: int
 ) -> None:
@@ -134,9 +144,14 @@ def _check_terminal_counting(
         out_edges = sum(
             1 for v in comp for u in g.neighbors(v) if u in S
         )
-        sub, _ = g.induced(rep.vertices)
-        is_kdelta = sub.n == delta and sub.is_complete()
-        if is_kdelta or sub.n == 1:
+        k = len(rep.vertices)
+        # a component is complete exactly when it is one clique block
+        is_kdelta = (
+            k == delta
+            and len(rep.block_tags) == 1
+            and rep.block_tags[0][1] == "clique"
+        )
+        if is_kdelta or k == 1:
             if out_edges != delta:
                 raise InternalInvariantError(
                     f"bad component {rep.vertices} should have exactly "
@@ -159,6 +174,46 @@ def b_value(g: Graph, L: dict, Rpp: set, prefs: dict, r: int) -> int:
         1 for rep in classify_components(g, L, Rpp - {r}, prefs) if rep.bad
     )
     return c1 - c2
+
+
+def _local_b_values(
+    g: Graph, L: dict, Rpp: set, prefs: dict, reports: list
+) -> dict:
+    """b(r) for every r in the independent set Rpp, from the reports of
+    g - Rpp: the bad components next to r, less one if the component r
+    forms with them once it leaves Rpp is bad.  Every other component
+    keeps its vertices and pruned lists, so this equals b_value; the
+    merged component is classified only when it can be tight."""
+    owner = {}
+    slack = []  # per report, its vertices whose pruned list has room
+    for i, rep in enumerate(reports):
+        room = []
+        for v in rep.vertices:
+            owner[v] = i
+            deg = sum(1 for u in g.neighbors(v) if u not in Rpp)
+            if len(rep.pruned_lists[v]) > deg:
+                room.append(v)
+        slack.append(room)
+    bs = {}
+    for r in sorted(Rpp):
+        nbrs = g.neighbors(r)
+        near = {owner[u] for u in nbrs}
+        b = sum(1 for i in near if reports[i].bad)
+        # merged lists grow only next to r, so a slack vertex elsewhere
+        # keeps the merged component from being tight
+        if len(L[r]) == len(nbrs) and all(
+            len(slack[i]) <= len(nbrs) and all(v in nbrs for v in slack[i])
+            for i in near
+        ):
+            ids, sub = g.component_without(r, Rpp)
+            orig = tuple(ids)
+            lists = {v: _pruned_list(g, L, Rpp, prefs, v, r) for v in orig}
+            if _tightness(sub, orig, lists) and (
+                block_cut_tree(sub).all_blocks_clique_or_odd_cycle()
+            ):
+                b -= 1
+        bs[r] = b
+    return bs
 
 
 def _independent_with_count(
@@ -252,16 +307,7 @@ def solve_unweighted(
         bad = [rep for rep in reports if rep.bad]
         if not bad:
             break
-        c1 = len(bad)
-        bs = {
-            r: c1
-            - sum(
-                1
-                for rep in classify_components(g, L, Rpp - {r}, prefs)
-                if rep.bad
-            )
-            for r in sorted(Rpp)
-        }
+        bs = _local_b_values(g, L, Rpp, prefs, reports)
         big = [r for r, b in bs.items() if b >= 2]
         if big:
             r = min(big)

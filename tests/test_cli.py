@@ -144,6 +144,32 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "old,new",
         [
+            ("total 8\n", "total 1000\n"),
+            ("bound-met yes\n", "bound-met no\n"),
+        ],
+    )
+    def test_stated_total_and_verdict_are_recomputed(
+        self, capsys, tmp_path, old, new
+    ):
+        inst, res = self.solved(capsys, tmp_path)
+        text = res.read_text()
+        assert old in text
+        code, out, _ = run(["verify", inst, str(res)], capsys)
+        assert code == 0 and out == "verified satisfied=8 bound-met=yes\n"
+        res.write_text(text.replace(old, new))
+        err = self.error_line(capsys, ["verify", inst, str(res)])
+        assert err.startswith("error precondition")
+
+    @pytest.mark.parametrize("lam", ["x,1", "0,1", "1,,2", "-1,2"])
+    def test_bad_lam(self, capsys, tmp_path, lam):
+        inst, _ = self.solved(capsys, tmp_path)
+        argv = ["solve", inst, "--method", "lambda", f"--lam={lam}"]
+        err = self.error_line(capsys, argv)
+        assert err.startswith("error ") and "--lam" in err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
             ("edge 0 1\n", "edge 0 1\nedge 0 1\n"),
             ("edge 0 1\nedge 0 2\n", "edge 0 2\nedge 0 1\n"),
             ("edge 0 1\n", "edge 0 01\n"),

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from flexicolor.graph import (
     proper_coloring,
     validate_ktree_order,
 )
+from flexicolor.instances import random_bounded_degree
 
 
 def random_connected(rng, n, extra=2):
@@ -22,6 +24,29 @@ def random_connected(rng, n, extra=2):
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
     return Graph(n, sorted(edges))
+
+
+def random_sparse(rng, n, density):
+    """Possibly disconnected graph, each pair an edge with the given
+    probability."""
+    return Graph(
+        n,
+        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density],
+    )
+
+
+def circulant(n, offsets):
+    return Graph(n, sorted({tuple(sorted((v, (v + k) % n))) for v in range(n) for k in offsets}))
+
+
+def tag_from_induced(g, vertices):
+    """A block's tag computed from the subgraph its vertices induce."""
+    sub, _ = g.induced(vertices)
+    if sub.is_complete():
+        return "clique"
+    if sub.is_cycle() and len(vertices) % 2 == 1:
+        return "odd-cycle"
+    return "other"
 
 
 class TestGraphBasics:
@@ -52,6 +77,32 @@ class TestGraphBasics:
         g = Graph(5, [(i, i + 1) for i in range(4)])
         g3 = g.power(3)
         assert g3.has_edge(0, 3) and not g3.has_edge(0, 4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 14), st.floats(0.05, 0.6))
+    def test_power_is_distance_at_most_d(self, seed, n, density):
+        g = random_sparse(random.Random(seed), n, density)
+        for d in (1, 2, 3):
+            want = {
+                (s, t)
+                for s in range(n)
+                for t, dist in enumerate(g.bfs_distances(s))
+                if s < t and 0 < dist <= d
+            }
+            assert set(g.power(d).edges) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 14), st.floats(0.05, 0.6))
+    def test_components_without(self, seed, n, density):
+        rng = random.Random(seed)
+        g = random_sparse(rng, n, density)
+        removed = {v for v in range(n) if rng.random() < 0.3}
+        sub, ids = g.induced([v for v in range(n) if v not in removed])
+        want = [
+            ([ids[i] for i in comp], sub.induced(comp)[0])
+            for comp in sub.components()
+        ]
+        assert g.components_without(removed) == want
 
     def test_induced_relabels(self):
         g = Graph(5, [(0, 2), (2, 4), (1, 3)])
@@ -92,6 +143,24 @@ class TestBlockCutTree:
         t = block_cut_tree(g)
         assert len(t.blocks) == 3
         assert sorted(t.cut_vertices) == [1, 2]
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 14), st.integers(0, 3))
+    def test_tags_match_induced_subgraphs(self, seed, n, extra):
+        rng = random.Random(seed)
+        g = random_connected(rng, n, extra) if extra else circulant(max(n, 3), (1,))
+        for b in block_cut_tree(g).blocks:
+            assert b.tag == tag_from_induced(g, b.vertices)
+
+    def test_tags_on_bounded_degree_graphs(self):
+        tags = set()
+        for seed in range(30):
+            g = random_bounded_degree(seed, 8 + seed % 7, 3 + seed % 3).g
+            for b in block_cut_tree(g).blocks:
+                assert b.tag == tag_from_induced(g, b.vertices)
+                tags.add(b.tag)
+        assert tags == {"clique", "odd-cycle", "other"}
 
 
 class TestProperColoring:
@@ -163,3 +232,20 @@ class TestTreedepthForest:
         f = TreedepthForest((None, 0, 1))
         TreedepthForest((None, 0, 1)).validate(Graph(3, [(0, 1), (0, 2), (1, 2)]))
         f.validate(Graph(3, [(0, 2)]))
+
+
+class TestPowerScaling:
+    def test_cube_coloring_time_linear_in_n(self):
+        def best_of_three(n):
+            g = circulant(n, (1, 2))  # maximum degree 4
+            best = float("inf")
+            for _ in range(3):
+                start = time.process_time()
+                proper_coloring(g, 3, "greedy")
+                best = min(best, time.process_time() - start)
+            return best
+
+        # four times the vertices: a bounded search per source takes about
+        # 4 times as long, a distance array per source about 16 times
+        ratio = best_of_three(8000) / best_of_three(2000)
+        assert ratio < 8, ratio

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexicolor.errors import PreconditionError
 from flexicolor.graph import Graph
@@ -10,8 +11,9 @@ from flexicolor.instances import (
     random_bounded_degree,
     two_cliques_matching,
 )
-from flexicolor.listcolor import Request, check_coloring
+from flexicolor.listcolor import Request, check_coloring, precolor_and_extend
 from flexicolor.maxdeg import (
+    _local_b_values,
     b_value,
     classify_components,
     solve_unweighted,
@@ -109,6 +111,121 @@ class TestClassification:
         }
         prefs = {6: 3}
         assert b_value(g, L, {6}, prefs, 6) == 2
+        assert local_and_reference(g, L, {6}, prefs)[0] == {6: 2}
+
+
+def greedy_independent(g, order):
+    S = set()
+    for v in order:
+        if all(u not in S for u in g.neighbors(v)):
+            S.add(v)
+    return S
+
+
+def local_and_reference(g, L, S, prefs):
+    local = _local_b_values(g, L, S, prefs, classify_components(g, L, S, prefs))
+    return local, {r: b_value(g, L, S, prefs, r) for r in S}
+
+
+class TestLocalBValues:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(3, 5),
+        st.integers(0, 9),
+        st.sampled_from(["random", "same", "degree"]),
+    )
+    def test_local_equals_whole_graph_b_value(self, seed, delta, extra, lists):
+        # palette delta keeps most lists tight, so bad components abound;
+        # "same" requests one color everywhere, so pruned lists collide;
+        # "degree" cuts every list to the vertex degree (outside the
+        # solvers' class, inside b's definition), so components merge
+        # into bad ones
+        inst = random_bounded_degree(seed, delta + 1 + extra, delta, palette=delta)
+        g, L = inst.g, inst.L
+        rng = random.Random(seed)
+        if lists == "degree":
+            L = {v: set(rng.sample(sorted(L[v]), g.degree(v))) for v in range(g.n)}
+        prefs = {
+            v: min(L[v]) if lists == "same" else rng.choice(sorted(L[v]))
+            for v in range(g.n)
+        }
+        order = list(range(g.n))
+        rng.shuffle(order)
+        local, reference = local_and_reference(g, L, greedy_independent(g, order), prefs)
+        assert local == reference
+
+    def test_merging_good_components_into_a_bad_one(self):
+        # K33 with S one side: 0 and 4 request the same color, so each
+        # leaf keeps one color with degree 0, and a leaving 0 (or 4)
+        # joins them into a tight star, a bad component
+        g = Graph(6, [(a, b) for a in (0, 4, 5) for b in (1, 2, 3)])
+        L = {v: {1, 2, 3} for v in range(6)}
+        prefs = {0: 2, 4: 2, 5: 3}
+        local, reference = local_and_reference(g, L, {0, 4, 5}, prefs)
+        assert local == reference == {0: -1, 4: -1, 5: 0}
+
+
+# classify_components and precolor_and_extend on two-cliques-matching, the
+# one fixture the solvers accept, for each delta and two precolored sets
+CLIQUES_PINNED = {
+    (3, ((0, 1),)): (
+        [((1, 2, 3, 4, 5), {1: {2, 3}, 2: {2, 3}, 3: {2, 3}, 4: {1, 2, 3}, 5: {1, 2, 3}},
+          False, True, (((1, 2, 3, 4, 5), "other"),), ((1, 2, 3, 4, 5),))],
+        {0: 1, 1: 2, 2: 3, 3: 2, 4: 3, 5: 1},
+    ),
+    (3, ((0, 1), (4, 2))): (
+        [((1, 2, 3, 5), {1: {3}, 2: {2, 3}, 3: {3}, 5: {1, 3}}, True, True,
+          (((1, 2), "clique"), ((2, 5), "clique"), ((3, 5), "clique")),
+          ((1, 2), (3, 5)))],
+        {0: 1, 4: 2, 1: 3, 3: 3, 2: 2, 5: 1},
+    ),
+    (4, ((0, 1),)): (
+        [((1, 2, 3, 4, 5, 6, 7),
+          {1: {2, 3, 4}, 2: {2, 3, 4}, 3: {2, 3, 4}, 4: {2, 3, 4},
+           5: {1, 2, 3, 4}, 6: {1, 2, 3, 4}, 7: {1, 2, 3, 4}},
+          False, True, (((1, 2, 3, 4, 5, 6, 7), "other"),), ((1, 2, 3, 4, 5, 6, 7),))],
+        {0: 1, 1: 2, 2: 3, 3: 4, 4: 2, 5: 1, 6: 4, 7: 3},
+    ),
+    (4, ((0, 1), (5, 2))): (
+        [((1, 2, 3, 4, 6, 7),
+          {1: {3, 4}, 2: {2, 3, 4}, 3: {2, 3, 4}, 4: {3, 4}, 6: {1, 3, 4}, 7: {1, 3, 4}},
+          False, True, (((1, 2, 3, 4, 6, 7), "other"),), ((1, 2, 3, 4, 6, 7),))],
+        {0: 1, 5: 2, 1: 3, 4: 3, 2: 2, 3: 4, 6: 4, 7: 1},
+    ),
+    (5, ((0, 1),)): (
+        [((1, 2, 3, 4, 5, 6, 7, 8, 9),
+          {1: {2, 3, 4, 5}, 2: {2, 3, 4, 5}, 3: {2, 3, 4, 5}, 4: {2, 3, 4, 5},
+           5: {2, 3, 4, 5}, 6: {1, 2, 3, 4, 5}, 7: {1, 2, 3, 4, 5},
+           8: {1, 2, 3, 4, 5}, 9: {1, 2, 3, 4, 5}},
+          False, True, (((1, 2, 3, 4, 5, 6, 7, 8, 9), "other"),),
+          ((1, 2, 3, 4, 5, 6, 7, 8, 9),))],
+        {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 2, 6: 1, 7: 4, 8: 5, 9: 3},
+    ),
+    (5, ((0, 1), (6, 2))): (
+        [((1, 2, 3, 4, 5, 7, 8, 9),
+          {1: {3, 4, 5}, 2: {2, 3, 4, 5}, 3: {2, 3, 4, 5}, 4: {2, 3, 4, 5},
+           5: {3, 4, 5}, 7: {1, 3, 4, 5}, 8: {1, 3, 4, 5}, 9: {1, 3, 4, 5}},
+          False, True, (((1, 2, 3, 4, 5, 7, 8, 9), "other"),),
+          ((1, 2, 3, 4, 5, 7, 8, 9),))],
+        {0: 1, 6: 2, 1: 3, 5: 3, 2: 2, 3: 4, 4: 5, 7: 1, 8: 5, 9: 4},
+    ),
+}
+
+
+class TestPinnedFixtureValues:
+    @pytest.mark.parametrize("key", sorted(CLIQUES_PINNED))
+    def test_two_cliques_matching(self, key):
+        delta, fixed = key
+        inst = two_cliques_matching(delta)
+        prefs = dict(fixed)
+        reports, coloring = CLIQUES_PINNED[key]
+        got = classify_components(inst.g, inst.L, set(prefs), prefs)
+        assert [
+            (r.vertices, r.pruned_lists, r.bad, r.tight, r.block_tags, r.terminal_blocks)
+            for r in got
+        ] == reports
+        assert precolor_and_extend(inst.g, inst.L, prefs) == coloring
 
 
 class TestRandomBounds:
