@@ -2,7 +2,7 @@
 
 Solvers that satisfy a certified fraction of color requests on bounded
 degree graphs, k-trees, bounded treedepth graphs, and 3-connected
-non-regular graphs, plus exhaustive oracles, fixtures, and a CLI.
+non-regular graphs, plus exact oracles, fixtures, and a CLI.
 """
 
 from .errors import (

@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--out", default=None)
     slv.set_defaults(func=_solve)
 
-    orc = sub.add_parser("oracle", help="exact optimum by exhaustion")
+    orc = sub.add_parser("oracle", help="exact optimum over all proper list colorings")
     orc.add_argument("instance")
     orc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     orc.add_argument("--out", default=None)

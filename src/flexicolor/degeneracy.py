@@ -33,6 +33,11 @@ class DegeneracyOrdering:
     def validate(self, g: Graph) -> None:
         if sorted(self.order) != list(range(g.n)):
             raise PreconditionError("order is not a permutation of the vertices")
+        stray = sorted(v for v in self.first if not 0 <= v < g.n)
+        if stray:
+            raise PreconditionError(
+                f"first-among-neighbors vertex {stray[0]} outside 0..{g.n - 1}"
+            )
         pos = {v: i for i, v in enumerate(self.order)}
         for v in range(g.n):
             back = sum(1 for u in g.neighbors(v) if pos[u] < pos[v])

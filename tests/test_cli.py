@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexicolor.cli import main
 from flexicolor.instances import (
@@ -160,6 +163,21 @@ class TestMalformedInput:
         err = self.error_line(capsys, ["verify", inst, str(res)])
         assert err.startswith("error precondition")
 
+    @pytest.mark.parametrize(
+        "first,stray", [("first -1 8", "-1"), ("first 6 99", "99")]
+    )
+    def test_first_vertex_out_of_range(self, capsys, tmp_path, first, stray):
+        inst = tmp_path / "inst.fi"
+        inst.write_text(serialize(random_three_connected(5, 14)))
+        res = tmp_path / "r.txt"
+        argv = ["solve", str(inst), "--method", "degeneracy", "--out", str(res)]
+        assert run(argv, capsys)[0] == 0
+        lines = [first if ln.startswith("first ") else ln
+                 for ln in res.read_text().splitlines()]
+        res.write_text("\n".join(lines) + "\n")
+        err = self.error_line(capsys, ["verify", str(inst), str(res)])
+        assert err.startswith("error precondition") and f"vertex {stray} " in err
+
     @pytest.mark.parametrize("lam", ["x,1", "0,1", "1,,2", "-1,2"])
     def test_bad_lam(self, capsys, tmp_path, lam):
         inst, _ = self.solved(capsys, tmp_path)
@@ -182,6 +200,79 @@ class TestMalformedInput:
         inst.write_text(text.replace(old, new))
         err = self.error_line(capsys, ["solve", str(inst), "--method", "two-tree"])
         assert err.startswith("error format")
+
+
+# replacement tokens of the result-document fuzzer: out of range, empty,
+# a zero denominator, not a number, a decimal
+FUZZ_TOKENS = ("-1", "0", "99", "", "1/0", "x", "1.5")
+FUZZ_BASES = {
+    "two-tree": lambda: random_ktree(1, 9, 2),
+    "maxdeg": lambda: two_cliques_matching(3),
+    "degeneracy": lambda: random_three_connected(5, 14),
+}
+
+
+@pytest.fixture(scope="module")
+def solved_results(tmp_path_factory):
+    """Instance path and result text of one solve per fuzzed method."""
+    d = tmp_path_factory.mktemp("fuzz")
+    out = {}
+    for method, make in FUZZ_BASES.items():
+        inst, res = d / f"{method}.fi", d / f"{method}.txt"
+        inst.write_text(serialize(make()))
+        argv = ["solve", str(inst), "--method", method, "--out", str(res)]
+        assert main(argv) == 0
+        out[method] = (str(inst), res.read_text())
+    return d, out
+
+
+def mutate(lines: list, data) -> list:
+    """Drop, duplicate, swap, shuffle or overwrite lines and tokens."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["drop", "dup", "swap", "shuffle", "token"]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            toks = lines[i].split(" ")
+            if kind == "shuffle":
+                toks = data.draw(st.permutations(toks))
+            else:
+                toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(
+                    st.sampled_from(FUZZ_TOKENS)
+                )
+            lines[i] = " ".join(toks)
+    return lines
+
+
+class TestResultFuzz:
+    """A mutated result document gets a verdict or one error line."""
+
+    @pytest.mark.parametrize("method", sorted(FUZZ_BASES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_result(self, solved_results, method, data):
+        d, results = solved_results
+        inst, text = results[method]
+        res = d / f"{method}-mutated.txt"
+        res.write_text("\n".join(mutate(text.splitlines(), data)) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", inst, str(res)])
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code >= 2:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert err.getvalue().startswith("error ")
+        else:
+            assert err.getvalue() == ""
 
 
 class TestOracleCommand:

@@ -2,15 +2,86 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flexicolor.cli import main
 from flexicolor.errors import BudgetExceededError
 from flexicolor.graph import Graph
+from flexicolor.instances import InstanceFile, serialize, two_cliques_matching
 from flexicolor.listcolor import Request, check_coloring, satisfied_amount
 from flexicolor.oracle import (
     bruteforce_bad_component,
     is_degree_choosable_here,
     optimal_satisfaction,
 )
+
+
+def reference_dfs(g: Graph, L: dict, request: Request) -> tuple:
+    """(optimum, coloring, enumerated) by visiting every proper list
+    coloring depth-first: smallest list first, ties by vertex id, colors
+    ascending; the first coloring of the largest value is kept."""
+    order = sorted(range(g.n), key=lambda v: (len(L[v]), v))
+    if request.kind == "unweighted":
+        gain, zero = {vc: 1 for vc in request.prefs.items()}, 0
+    elif request.kind == "unique":
+        gain = {(v, c): request.weights[v] for v, c in request.prefs.items()}
+        zero = Fraction(0)
+    else:
+        gain, zero = dict(request.table), Fraction(0)
+    best = [None, None, 0]  # value, coloring, leaves
+    color = {}
+
+    def rec(i, value):
+        if i == len(order):
+            best[2] += 1
+            if best[0] is None or value > best[0]:
+                best[0], best[1] = value, dict(color)
+            return
+        v = order[i]
+        used = {color[u] for u in g.neighbors(v) if u in color}
+        for c in sorted(L[v]):
+            if c not in used:
+                color[v] = c
+                rec(i + 1, value + gain.get((v, c), zero))
+                del color[v]
+
+    rec(0, zero)
+    if best[1] is None:
+        return zero, None, 0
+    return tuple(best)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A graph on at most 8 vertices, lists from a palette of 4 (often
+    too short to color) and a request of any kind."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, sorted(edges))
+    L = {v: draw(st.sets(st.integers(1, 4), min_size=1, max_size=3)) for v in range(n)}
+    weight = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    kind = draw(st.sampled_from(["unweighted", "unique", "weighted"]))
+    if kind == "weighted":
+        table = {
+            (v, c): draw(st.one_of(st.just(Fraction(0)), weight))
+            for v in range(n)
+            for c in sorted(L[v])
+            if draw(st.booleans())
+        }
+        return g, L, Request("weighted", table=table)
+    vs = sorted(draw(st.sets(st.integers(0, n - 1))))
+    prefs = {v: draw(st.sampled_from(sorted(L[v]))) for v in vs}
+    if kind == "unweighted":
+        return g, L, Request("unweighted", prefs=prefs)
+    weights = {v: draw(weight) for v in vs}
+    return g, L, Request("unique", prefs=prefs, weights=weights)
+
+
+def path_with_singletons(n: int) -> tuple:
+    """The path 0-1-...-(n-1) with lists {1}, {2}, {1}, ...: one coloring."""
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    return g, {v: {1 + v % 2} for v in range(n)}
 
 
 class TestOptimalSatisfaction:
@@ -82,6 +153,42 @@ class TestOptimalSatisfaction:
         a = optimal_satisfaction(g, L, r)
         b = optimal_satisfaction(g, L, r)
         assert a.optimum == b.optimum and a.coloring == b.coloring
+
+
+class TestFrontierSweep:
+    """The frontier dynamic program against the depth-first reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    def test_matches_reference_dfs(self, case):
+        g, L, request = case
+        res = optimal_satisfaction(g, L, request)
+        optimum, coloring, enumerated = reference_dfs(g, L, request)
+        assert res.optimum == optimum and type(res.optimum) is type(optimum)
+        assert res.coloring == coloring
+        assert res.enumerated == enumerated
+        assert is_degree_choosable_here(g, L) == (enumerated > 0)
+
+    def test_two_cliques_matching_count(self):
+        inst = two_cliques_matching(5)
+        res = optimal_satisfaction(inst.g, inst.L, inst.request)
+        assert res.enumerated == 5280 and res.optimum == 1
+
+    def test_long_path_through_cli(self, capsys, tmp_path):
+        # one vertex per step: a recursive search ran out of stack here
+        g, L = path_with_singletons(3000)
+        doc = tmp_path / "path.fi"
+        doc.write_text(serialize(InstanceFile(g, L, Request("unweighted", prefs={0: 1}))))
+        code = main(["oracle", str(doc)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "optimum 1\ncolorable yes\nenumerated 1\n" in out
+
+    def test_long_path_is_colorable(self):
+        g, L = path_with_singletons(3000)
+        assert is_degree_choosable_here(g, L)
+        L[1] = {1}
+        assert not is_degree_choosable_here(g, L)
 
 
 class TestBadComponentBruteforce:
