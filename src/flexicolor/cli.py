@@ -10,6 +10,8 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from itertools import count
+from operator import eq, not_
 from typing import Optional
 
 from .degeneracy import DegeneracyOrdering, flexible_degeneracy_order
@@ -23,15 +25,19 @@ from .instances import (
     FAMILIES,
     FIXTURES,
     FORMAT_HEADER,
+    INT,
     InstanceFile,
+    LineRun,
+    first_bad,
     format_fraction,
     parse,
     parse_dimacs,
     parse_fraction,
     parse_int,
+    parse_ints,
     serialize,
 )
-from .listcolor import Request, check_coloring, satisfied_amount
+from .listcolor import Request, satisfied_amount
 from .maxdeg import solve_unweighted, solve_weighted
 from .oracle import DEFAULT_BUDGET, optimal_satisfaction
 from .treedepth import TdInstance, derandomized_coloring
@@ -276,15 +282,41 @@ _RESULT_ARITY = {
 }
 
 
+_COLOR_LINES = LineRun(f"color ({INT}) ({INT})\n", "color v c", 3)
+
+
 def _parse_result(text: str) -> dict:
     lines = text.splitlines()
     if not lines or lines[0] != RESULT_HEADER:
         raise FormatError(f"missing header {RESULT_HEADER!r}", line=1)
+    # the same lines, each ended by "\n", so that color runs are read
+    # straight from the text
+    text = "\n".join(lines + [""])
+    del lines
     doc: dict = {"coloring": {}}
-    for i, raw in enumerate(lines[1:], start=2):
-        key, *args = raw.split(" ")
+    pos, i = len(RESULT_HEADER) + 1, 2
+    while pos < len(text):
+        end = text.index("\n", pos) + 1
+        key, *args = text[pos : end - 1].split(" ")
         if key not in _RESULT_ARITY:
             raise FormatError(f"unknown key {key!r}", line=i)
+        if key == "color":
+            coloring = doc["coloring"]
+            end, cols = _COLOR_LINES.read(text, pos, i)
+            vs, cs = (list(map(int, col)) for col in cols)
+            colors = dict(zip(vs, cs))
+            if len(colors) < len(vs) or not coloring.keys().isdisjoint(colors):
+                first = dict(zip(reversed(vs), range(len(vs) - 1, -1, -1)))
+                bad = first_bad(
+                    map(eq, map(first.__getitem__, vs), count()),
+                    map(not_, map(coloring.__contains__, vs)),
+                )
+                raise FormatError(
+                    f"second color line for vertex {vs[bad]}", line=i + bad
+                )
+            coloring.update(colors)
+            pos, i = end, i + len(vs)
+            continue
         arity = _RESULT_ARITY[key]
         if arity is not None and len(args) != arity:
             raise FormatError(
@@ -294,25 +326,54 @@ def _parse_result(text: str) -> dict:
             doc["method"] = args[0]
         elif key in ("satisfied", "certified", "total"):
             doc[key] = parse_fraction(args[0], i, "rational")
-        elif key == "color":
-            v, c = (parse_int(a, i, "color field") for a in args)
-            if v in doc["coloring"]:
-                raise FormatError(f"second color line for vertex {v}", line=i)
-            doc["coloring"][v] = c
         elif key == "degeneracy":
             doc["degeneracy"] = parse_int(args[0], i, "degeneracy")
         elif key == "order":
-            doc["order"] = tuple(parse_int(a, i, "order entry") for a in args)
+            doc["order"] = tuple(parse_ints(args, i, "order entry"))
         elif key == "first":
-            doc["first"] = frozenset(parse_int(a, i, "first entry") for a in args)
+            doc["first"] = frozenset(parse_ints(args, i, "first entry"))
         else:
             if args[0] not in ("yes", "no"):
                 raise FormatError("bound-met takes yes or no", line=i)
             doc["bound_met"] = args[0] == "yes"
+        pos, i = end, i + 1
     for needed in ("method", "satisfied", "certified", "total"):
         if needed not in doc:
             raise FormatError(f"result misses {needed!r}")
     return doc
+
+
+def _certified_fraction(method: str, inst: InstanceFile) -> Optional[Fraction]:
+    """The fraction `method` certifies on inst, as solve computes it.
+
+    None for maxdeg, maxdeg-weighted and degeneracy: their fraction
+    depends on the color count of a coloring (chi-hat) that the result
+    does not record, so verify takes the stated value for them.
+    """
+    if method not in METHODS:
+        raise PreconditionError(f"result names unknown method {method!r}")
+    if method == "two-tree":
+        if inst.ktree is None or inst.ktree.k != 2:
+            raise PreconditionError(
+                "a two-tree result needs an instance with a 2-tree order"
+            )
+        return Fraction(1, 3)
+    if method == "lambda":
+        if inst.ktree is None:
+            raise PreconditionError(
+                "a lambda result needs an instance with a k-tree order"
+            )
+        return Fraction(1, inst.ktree.k + 1)
+    if method == "treedepth":
+        if inst.forest is None:
+            raise PreconditionError(
+                "a treedepth result needs an instance with a treedepth forest"
+            )
+        k = inst.forest.height()
+        if inst.request.kind == "weighted":
+            k *= max(len(inst.L[v]) for v in range(inst.g.n))
+        return Fraction(1, k)
+    return None
 
 
 def _verify(args) -> int:
@@ -349,7 +410,7 @@ def _verify(args) -> int:
             raise PreconditionError(
                 f"result colors vertex {stray[0]}, outside 0..{g.n - 1}"
             )
-        check_coloring(g, L, coloring)
+        # satisfied_amount checks the coloring before it counts
         satisfied = Fraction(satisfied_amount(g, L, coloring, request))
         total = request.total()
 
@@ -362,8 +423,12 @@ def _verify(args) -> int:
         raise PreconditionError(
             f"stated total {doc['total']} differs from the recomputed {total}"
         )
-    # the certified fraction is taken as stated; only the total and the
-    # verdict are recomputed
+    certified = _certified_fraction(doc["method"], inst)
+    if certified is not None and certified != doc["certified"]:
+        raise PreconditionError(
+            f"stated certified fraction {doc['certified']} differs from the "
+            f"recomputed {certified}"
+        )
     met = satisfied >= doc["certified"] * total
     if doc.get("bound_met", met) != met:
         raise PreconditionError(

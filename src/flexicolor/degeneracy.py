@@ -18,7 +18,7 @@ from .errors import (
     InternalInvariantError,
     PreconditionError,
 )
-from .graph import BrooksObstructionError, Graph, proper_coloring
+from .graph import BrooksObstructionError, Graph, block_cut_tree, proper_coloring
 
 
 @dataclass(frozen=True)
@@ -400,16 +400,19 @@ def _spanning_set_rec(h: Hypergraph, d: int) -> list:
 
 def is_three_connected(g: Graph) -> bool:
     """Exact vertex 3-connectivity: removal of any two vertices leaves a
-    connected graph on at least one vertex."""
+    connected graph on at least one vertex.
+
+    Equivalently, for every vertex a, g - a is connected and has no cut
+    vertex; one block-cut tree per a decides that, O(n (n + m)) in all.
+    """
     if g.n < 4:
         return False
     if not g.is_connected():
         return False
     for a in range(g.n):
-        for b in range(a + 1, g.n):
-            rest, _ = g.induced([v for v in range(g.n) if v not in (a, b)])
-            if not rest.is_connected():
-                return False
+        rest, _ = g.induced(v for v in range(g.n) if v != a)
+        if not rest.is_connected() or block_cut_tree(rest).cut_vertices:
+            return False
     return True
 
 

@@ -1,6 +1,6 @@
 """Simple undirected graphs and the structural decompositions the solvers
-rely on: block-cut trees, k-tree orders, treedepth forests, power-graph
-colorings and independent request subsets.
+rely on: block-cut trees, k-tree orders, treedepth forests and power-graph
+colorings.
 
 Vertices are dense integers 0..n-1.  All values are immutable after
 construction; every tie-break is by smallest vertex id or smallest color.
@@ -42,6 +42,23 @@ class Graph:
         self.n = n
         self._edges = tuple(sorted(seen))
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+    @classmethod
+    def _from_sorted(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Trusted constructor for edges already known to be pairs
+        0 <= u < v < n in strictly increasing order.  Each vertex then
+        receives its smaller neighbours in increasing order before its
+        larger ones, so its adjacency comes out sorted with no check or
+        sort; the result equals Graph(n, edges)."""
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        g = object.__new__(cls)
+        g.n = n
+        g._edges = tuple(edges)
+        g._adj = tuple(map(tuple, adj))
+        return g
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -130,8 +147,8 @@ class Graph:
                             seen.add(u)
                             nxt.append(u)
                 frontier = nxt
-            edges.extend((s, t) for t in seen if t > s)
-        return Graph(self.n, edges)
+            edges.extend((s, t) for t in sorted(seen) if t > s)
+        return Graph._from_sorted(self.n, edges)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph; returns (graph, original ids by new id)."""
@@ -142,7 +159,7 @@ class Graph:
             for u, v in self._edges
             if u in pos and v in pos
         ]
-        return Graph(len(ids), edges), ids
+        return Graph._from_sorted(len(ids), edges), ids
 
     def component_without(
         self, source: int, removed: Container[int]
@@ -164,7 +181,7 @@ class Graph:
         edges = [
             (pos[v], pos[u]) for v in comp for u in adj[v] if v < u and u in pos
         ]
-        return comp, Graph(len(comp), edges)
+        return comp, Graph._from_sorted(len(comp), edges)
 
     def components_without(
         self, removed: Container[int]
@@ -327,7 +344,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 
 
 # ---------------------------------------------------------------------------
-# Proper colorings (greedy and Brooks) and independent request subsets
+# Proper colorings (greedy and Brooks)
 
 
 class BrooksObstructionError(PreconditionError):
@@ -485,42 +502,6 @@ def color_count(coloring: dict[int, int]) -> int:
     return len(set(coloring.values()))
 
 
-def independent_request_subset(
-    g: Graph,
-    request_set: Iterable[int],
-    distance: int,
-    weights: Optional[dict] = None,
-    mode: str = "greedy",
-) -> set[int]:
-    """Subset R' of the request set that is independent in g^distance.
-
-    Takes the best color class of a proper coloring of g^distance:
-    largest by count, or by total weight when weights are given.  The
-    class used guarantees |R'| >= |R| / (number of colors used).
-    """
-    request_set = set(request_set)
-    for v in request_set:
-        if not (0 <= v < g.n):
-            raise PreconditionError(f"request vertex {v} out of range")
-    if not request_set:
-        return set()
-    if len(request_set) == 1:
-        return set(request_set)
-    coloring = proper_coloring(g, distance, mode)
-    classes: dict[int, set[int]] = {}
-    for v in request_set:
-        classes.setdefault(coloring[v], set()).add(v)
-
-    def score(item):
-        c, vs = item
-        if weights is None:
-            return (len(vs), -c)
-        return (sum(weights[v] for v in vs), -c)
-
-    best = max(classes.items(), key=score)
-    return set(best[1])
-
-
 # ---------------------------------------------------------------------------
 # k-tree orders
 
@@ -581,11 +562,6 @@ def validate_ktree_order(g: Graph, order: KTreeOrder) -> Optional[OrderViolation
                         "are not adjacent",
                     )
     return None
-
-
-def back_neighbors(g: Graph, order: KTreeOrder, v: int) -> tuple[int, ...]:
-    pos = order.position()
-    return tuple(u for u in g.neighbors(v) if pos[u] < pos[v])
 
 
 # ---------------------------------------------------------------------------

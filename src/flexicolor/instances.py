@@ -6,9 +6,11 @@ document reproduces it byte for byte.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, compress, count, islice, repeat
+from operator import eq, gt, lt, not_
 from typing import Optional
 
 from .errors import FormatError, PreconditionError
@@ -87,31 +89,168 @@ def serialize(inst: InstanceFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A canonical integer as str() writes it.  The patterns spell digits as
+# ASCII [0-9]: the regex digit class, like int(), also takes the digits
+# of other scripts.
+INT = "(?:0|-?[1-9][0-9]*)"
+_NAT = "(?:0|[1-9][0-9]*)"
+# a rational in any spelling; the value check keeps only canonical ones
+_RATIONAL = "-?[0-9]+(?:/[0-9]+)?"
+_INT_TOKEN = re.compile(INT)
+_INT_TOKENS = re.compile(f"{INT}(?: {INT})*")
+
+
 def parse_int(tok: str, lineno: Optional[int], what: str) -> int:
     """The integer `tok` spells, which must be written as str() writes it:
     ASCII digits, an optional "-", no "+" and no leading zeros."""
-    try:
-        value = int(tok)
-    except ValueError:
-        value = None
-    if value is None or str(value) != tok:
+    if _INT_TOKEN.fullmatch(tok) is None:
         raise FormatError(
             f"{what} must be a canonical integer, got {tok!r}", line=lineno
         )
-    return value
+    return int(tok)
+
+
+def parse_ints(toks: list, lineno: int, what: str) -> list:
+    """parse_int over all the tokens of one line, with one pattern match."""
+    if toks and _INT_TOKENS.fullmatch(" ".join(toks)) is None:
+        for tok in toks:  # raises at the first non-canonical token
+            parse_int(tok, lineno, what)
+    return list(map(int, toks))
+
+
+def _canonical_fraction(tok: str) -> Optional[Fraction]:
+    """The rational `tok` spells if format_fraction writes it so, else None."""
+    num, _, den = tok.partition("/")
+    try:
+        value = Fraction(int(num), int(den) if den else 1)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if format_fraction(value) == tok else None
 
 
 def parse_fraction(tok: str, lineno: int, what: str) -> Fraction:
     """The rational `tok` spells, which must be written as
     format_fraction writes it."""
-    num, _, den = tok.partition("/")
-    try:
-        value = Fraction(int(num), int(den) if den else 1)
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or format_fraction(value) != tok:
+    value = _canonical_fraction(tok)
+    if value is None:
         raise FormatError(f"bad {what} {tok!r}", line=lineno)
     return value
+
+
+class LineRun:
+    """The lines of one repeated section, read as one run.
+
+    `line` is the pattern of one well-formed line, with one group per
+    field; `width` is its number of space-separated tokens, or None when
+    a field spans several tokens.  Matches of the repeated pattern find
+    where the run of well-formed lines ends.
+    """
+
+    # lines per pattern match: the matcher keeps backtracking state for
+    # every repetition until the match ends, so unbounded repetition
+    # would hold hundreds of bytes per line of the run
+    CHUNK = 64
+
+    def __init__(self, line: str, form: str, width: Optional[int] = None):
+        self._line = re.compile(line)
+        self._lines = re.compile(f"(?:{line}){{0,{self.CHUNK}}}")
+        self.form = form
+        self.width = width
+
+    def read(self, text: str, pos: int, lineno: int) -> tuple:
+        """(end, columns) of the run starting at text[pos:], which is
+        line `lineno`: columns[j] holds field j of every line, as
+        strings.  The run stops before the first line that is not well
+        formed; a run that would be empty raises FormatError there."""
+        end = pos
+        while (stop := self._lines.match(text, end).end()) > end:
+            end = stop
+        if end == pos:
+            line = text[pos : text.find("\n", pos)]
+            raise FormatError(
+                f"malformed line {line!r}, expected {self.form!r}", line=lineno
+            )
+        if self.width is None:
+            return end, list(zip(*self._line.findall(text, pos, end)))
+        toks = text[pos:end].split()
+        return end, [toks[j :: self.width] for j in range(1, self.width)]
+
+
+def first_bad(*flags) -> Optional[int]:
+    """Index of the first line of a run at which some flag is false, or
+    None; flags[j] yields one flag per line."""
+    firsts = [next(compress(count(), map(not_, f)), None) for f in flags]
+    return min((i for i in firsts if i is not None), default=None)
+
+
+def increasing(keys: list):
+    """One flag per line: whether its key exceeds the previous line's."""
+    return chain((True,), map(lt, keys, islice(keys, 1, None)))
+
+
+_EDGES = LineRun(f"edge ({_NAT}) ({_NAT})\n", "edge u v", 3)
+_LISTS = LineRun(f"list ({_NAT})((?: {INT})+)\n", "list v c1 c2 ...")
+_REQUESTS = LineRun(f"request ({INT}) ({INT})\n", "request v c", 3)
+_WEIGHTED_REQUESTS = LineRun(
+    f"request ({INT}) ({INT}) ({_RATIONAL})\n", "request v c weight", 4
+)
+
+
+def _edge_lines(text: str, pos: int, lineno: int, n: int) -> tuple:
+    """(end, edges) of the run of edge lines at text[pos:]."""
+    end, (us, vs) = _EDGES.read(text, pos, lineno)
+    us, vs = list(map(int, us)), list(map(int, vs))
+    edges = list(zip(us, vs))
+    bad = first_bad(map(lt, us, vs), map(gt, repeat(n), vs), increasing(edges))
+    if bad is not None:
+        raise FormatError(
+            f"edge {edges[bad]}: edges must satisfy 0 <= u < v < {n} and "
+            "edge lines must strictly increase",
+            line=lineno + bad,
+        )
+    return end, edges
+
+
+def _list_lines(text: str, pos: int, lineno: int, n: int) -> tuple:
+    """(end, lists) of the run of list lines at text[pos:]."""
+    end, (vs, spelled) = _LISTS.read(text, pos, lineno)
+    vs = list(map(int, vs))
+    # lists repeat across vertices, so each spelling is converted once
+    colors = {s: tuple(map(int, s.split())) for s in set(spelled)}
+    ordered = {s for s, cs in colors.items() if all(map(lt, cs, cs[1:]))}
+    bad = first_bad(
+        map(eq, vs, count()), map(gt, repeat(n), vs), map(ordered.__contains__, spelled)
+    )
+    if bad is not None:
+        raise FormatError(
+            f"list of vertex {vs[bad]}: lists must come in vertex order "
+            f"0..{n - 1}, colors strictly increasing",
+            line=lineno + bad,
+        )
+    return end, dict(enumerate(map(set, map(colors.__getitem__, spelled))))
+
+
+def _request_lines(text: str, pos: int, lineno: int, kind: str) -> tuple:
+    """(end, vertices, colors, weights) of the run of request lines at
+    text[pos:]; weights is None for an unweighted request."""
+    run = _REQUESTS if kind == "unweighted" else _WEIGHTED_REQUESTS
+    end, cols = run.read(text, pos, lineno)
+    vs, cs = list(map(int, cols[0])), list(map(int, cols[1]))
+    # serialize sorts by vertex, and a weighted table by color next
+    flags = [increasing(list(zip(vs, cs)) if kind == "weighted" else vs)]
+    weights = None
+    if kind != "unweighted":
+        values = {t: _canonical_fraction(t) for t in set(cols[2])}
+        canonical = {t for t, w in values.items() if w is not None}
+        flags.append(map(canonical.__contains__, cols[2]))
+        weights = list(map(values.__getitem__, cols[2]))
+    bad = first_bad(*flags)
+    if bad is not None:
+        raise FormatError(
+            "request lines must strictly increase, weights written canonically",
+            line=lineno + bad,
+        )
+    return end, vs, cs, weights
 
 
 # section ranks keep the canonical order enforceable; only the keys in
@@ -136,14 +275,18 @@ def parse(text: str) -> InstanceFile:
 
     Sections come in canonical order; edge and request lines strictly
     increase, lists come in vertex order, and every number is spelled
-    canonically.  The order checks also find a duplicate line with one
-    comparison, which keeps parsing linear in the document size.
+    canonically.  Each repeated section (edge, list and request lines)
+    is read as one run: one compiled pattern checks the spelling of all
+    its lines, its numbers are converted by map(int, ...), and its order is
+    checked by pairwise comparisons, so parsing stays linear in the
+    document with little Python work per line.
     """
-    lines = text.split("\n")
-    if lines[0] != FORMAT_HEADER:
+    if text.partition("\n")[0] != FORMAT_HEADER:
         raise FormatError(f"missing header {FORMAT_HEADER!r}", line=1)
-    if lines[-1]:
-        raise FormatError("document must end with a newline", line=len(lines))
+    if not text.endswith("\n"):
+        raise FormatError(
+            "document must end with a newline", line=text.count("\n") + 1
+        )
     name = ""
     seed: Optional[int] = None
     n: Optional[int] = None
@@ -153,12 +296,14 @@ def parse(text: str) -> InstanceFile:
     kt_k: Optional[int] = None
     forest: Optional[TreedepthForest] = None
     kind: Optional[str] = None
-    last_request = None
     prefs: dict = {}
     weights: dict = {}
     table: dict = {}
     rank = 0
-    for i, raw in enumerate(lines[1:-1], start=2):
+    pos, i = len(FORMAT_HEADER) + 1, 2
+    while pos < len(text):
+        end = text.index("\n", pos) + 1
+        raw = text[pos : end - 1]
         if not raw.strip():
             raise FormatError("blank line not allowed", line=i)
         key, *args = raw.split(" ")
@@ -167,6 +312,7 @@ def parse(text: str) -> InstanceFile:
         if _RANKS[key] < rank or (_RANKS[key] == rank and key not in _REPEATED):
             raise FormatError(f"key {key!r} out of order or repeated", line=i)
         rank = _RANKS[key]
+        lines = 1
         if key == "name":
             if len(args) != 1 or not args[0]:
                 raise FormatError("name takes one token", line=i)
@@ -184,40 +330,13 @@ def parse(text: str) -> InstanceFile:
         elif key == "edge":
             if n is None:
                 raise FormatError("edge before vertices", line=i)
-            if len(args) != 2:
-                raise FormatError("edge takes two endpoints", line=i)
-            u, v = (parse_int(a, i, "endpoint") for a in args)
-            if not (0 <= u < v < n):
-                raise FormatError(
-                    f"edge ({u},{v}) must satisfy 0 <= u < v < {n}", line=i
-                )
-            if edges and (u, v) <= edges[-1]:
-                a, b = edges[-1]
-                raise FormatError(
-                    f"edge ({u},{v}) after ({a},{b}): edge lines must strictly "
-                    "increase",
-                    line=i,
-                )
-            edges.append((u, v))
+            end, edges = _edge_lines(text, pos, i, n)
+            lines = len(edges)
         elif key == "list":
             if n is None:
                 raise FormatError("list before vertices", line=i)
-            if len(args) < 2:
-                raise FormatError("list needs a vertex and colors", line=i)
-            v = parse_int(args[0], i, "list vertex")
-            if not (0 <= v < n):
-                raise FormatError(f"list vertex {v} out of range", line=i)
-            if v != len(L):
-                raise FormatError(
-                    f"list of vertex {v} out of order, expected vertex {len(L)}",
-                    line=i,
-                )
-            cols = [parse_int(a, i, "color") for a in args[1:]]
-            if cols != sorted(set(cols)):
-                raise FormatError(
-                    f"colors of vertex {v} must be strictly increasing", line=i
-                )
-            L[v] = set(cols)
+            end, L = _list_lines(text, pos, i, n)
+            lines = len(L)
         elif key == "ktree":
             if len(args) != 1:
                 raise FormatError("ktree takes one integer", line=i)
@@ -225,7 +344,7 @@ def parse(text: str) -> InstanceFile:
         elif key == "order":
             if kt_k is None:
                 raise FormatError("order requires a preceding ktree line", line=i)
-            seq = tuple(parse_int(a, i, "order entry") for a in args)
+            seq = tuple(parse_ints(args, i, "order entry"))
             if sorted(seq) != list(range(n or 0)):
                 raise FormatError("order is not a vertex permutation", line=i)
             ktree = KTreeOrder(kt_k, seq)
@@ -234,8 +353,8 @@ def parse(text: str) -> InstanceFile:
                 raise FormatError(
                     f"td-parent needs exactly {n} entries", line=i
                 )
-            ps = [parse_int(a, i, "parent") for a in args]
-            if not all(-1 <= p < n for p in ps):
+            ps = parse_ints(args, i, "parent")
+            if min(ps) < -1 or max(ps) >= n:
                 raise FormatError("a parent must be -1 or a vertex", line=i)
             forest = TreedepthForest(
                 tuple(None if p == -1 else p for p in ps)
@@ -244,28 +363,18 @@ def parse(text: str) -> InstanceFile:
             if len(args) != 1 or args[0] not in ("unweighted", "unique", "weighted"):
                 raise FormatError("unknown request kind", line=i)
             kind = args[0]
-        elif key == "request":
+        else:
             if kind is None:
                 raise FormatError("request before request-kind", line=i)
-            if kind == "unweighted" and len(args) != 2:
-                raise FormatError("request takes vertex and color", line=i)
-            if kind != "unweighted" and len(args) != 3:
-                raise FormatError(
-                    "request takes vertex, color and weight", line=i
-                )
-            v = parse_int(args[0], i, "request vertex")
-            c = parse_int(args[1], i, "request color")
-            # serialize sorts by vertex, and a weighted table by color next
-            at = (v, c) if kind == "weighted" else v
-            if last_request is not None and at <= last_request:
-                raise FormatError("request lines must strictly increase", line=i)
-            last_request = at
+            end, vs, cs, ws = _request_lines(text, pos, i, kind)
+            lines = len(vs)
             if kind == "weighted":
-                table[(v, c)] = parse_fraction(args[2], i, "weight")
+                table = dict(zip(zip(vs, cs), ws))
             else:
-                prefs[v] = c
+                prefs = dict(zip(vs, cs))
                 if kind == "unique":
-                    weights[v] = parse_fraction(args[2], i, "weight")
+                    weights = dict(zip(vs, ws))
+        pos, i = end, i + lines
     if n is None:
         raise FormatError("missing vertices line")
     if len(L) != n:
@@ -273,7 +382,7 @@ def parse(text: str) -> InstanceFile:
     if ktree is None and kt_k is not None:
         raise FormatError("ktree line without an order line")
     try:
-        g = Graph(n, edges)
+        g = Graph._from_sorted(n, edges)
         request = None
         if kind == "unweighted":
             request = Request("unweighted", prefs=prefs)

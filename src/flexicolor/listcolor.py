@@ -8,7 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import compress, repeat
+from math import lcm
+from operator import attrgetter, eq, floordiv, itemgetter, mul
+from typing import Iterable, Optional, Union
 
 from .errors import BudgetExceededError, PreconditionError
 from .graph import Graph, block_cut_tree
@@ -31,6 +34,26 @@ def validate_lists(g: Graph, L: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # Requests
+
+
+def exact_sum(weights: Iterable) -> Fraction:
+    """The sum of the weights, of the value and type that adding them one
+    by one to Fraction(0) gives: a Fraction for rational weights.
+
+    The numerators are scaled to the least common denominator and added
+    as integers, so only one Fraction is built, where adding the
+    weights one by one normalises a Fraction at every step.
+    """
+    weights = list(weights)
+    try:
+        dens = list(map(attrgetter("denominator"), weights))
+    except AttributeError:  # a weight that is no rational, such as a float
+        return sum(weights, Fraction(0))
+    nums = map(attrgetter("numerator"), weights)
+    d = lcm(*set(dens))
+    if d == 1:
+        return Fraction(sum(nums))
+    return Fraction(sum(map(mul, nums, map(floordiv, repeat(d), dens))), d)
 
 
 @dataclass(frozen=True)
@@ -68,8 +91,8 @@ class Request:
         if self.kind == "unweighted":
             return len(self.prefs)
         if self.kind == "unique":
-            return sum(self.weights.values(), Fraction(0))
-        return sum(self.table.values(), Fraction(0))
+            return exact_sum(self.weights.values())
+        return exact_sum(self.table.values())
 
     def is_widespread(self, g: Graph) -> bool:
         return self.domain() == set(range(g.n))
@@ -121,17 +144,17 @@ def satisfied_amount(
     Validates the coloring first; counting happens only on valid input.
     """
     check_coloring(g, L, coloring)
+    color_of = coloring.__getitem__
+    if request.kind == "weighted":
+        table = request.table
+        vertices, colors = map(itemgetter(0), table), map(itemgetter(1), table)
+        hits = map(eq, map(color_of, vertices), colors)
+        return exact_sum(compress(table.values(), hits))
+    prefs = request.prefs
+    hits = map(eq, map(color_of, prefs), prefs.values())
     if request.kind == "unweighted":
-        return sum(1 for v, c in request.prefs.items() if coloring[v] == c)
-    if request.kind == "unique":
-        return sum(
-            (request.weights[v] for v, c in request.prefs.items() if coloring[v] == c),
-            Fraction(0),
-        )
-    return sum(
-        (w for (v, c), w in request.table.items() if coloring[v] == c),
-        Fraction(0),
-    )
+        return sum(hits)
+    return exact_sum(map(request.weights.__getitem__, compress(prefs, hits)))
 
 
 def reduce_to_unique(request: Request, L: dict) -> Request:

@@ -18,6 +18,7 @@ from .graph import BrooksObstructionError, Graph, block_cut_tree, proper_colorin
 from .listcolor import (
     Infeasible,
     Request,
+    exact_sum,
     precolor_and_extend,
     reduce_to_unique,
     satisfied_amount,
@@ -242,7 +243,7 @@ def _independent_with_count(
     else:
         best = max(
             classes.items(),
-            key=lambda kv: (sum(weights[v] for v in kv[1]), -kv[0]),
+            key=lambda kv: (exact_sum(map(weights.__getitem__, kv[1])), -kv[0]),
         )
     return set(best[1]), chi_hat, used_mode
 
@@ -455,8 +456,8 @@ def solve_weighted(
         r = min(candidates, key=lambda x: (weights[x], x))
         R_plus.add(r)
 
-    w_prime = sum((weights[r] for r in R_prime), Fraction(0))
-    w_plus = sum((weights[r] for r in R_plus), Fraction(0))
+    w_prime = exact_sum(map(weights.__getitem__, R_prime))
+    w_plus = exact_sum(map(weights.__getitem__, R_plus))
     if 2 * w_plus > w_prime:
         raise InternalInvariantError(
             "removed weight exceeds half the independent set's weight"

@@ -4,13 +4,17 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexicolor.cli import main
+from flexicolor import cli, listcolor
+from flexicolor.cli import _parse_result, main
+from flexicolor.errors import FormatError
 from flexicolor.instances import (
+    fig_3tree,
     fig_diamond,
     random_ktree,
     random_three_connected,
@@ -18,6 +22,8 @@ from flexicolor.instances import (
     serialize,
     two_cliques_matching,
 )
+from flexicolor.listcolor import Request
+from reference import reference_parse_result
 
 
 def run(argv, capsys):
@@ -202,9 +208,90 @@ class TestMalformedInput:
         assert err.startswith("error format")
 
 
+def fig_3tree_with_request():
+    inst = fig_3tree()
+    inst.request = Request("unique", prefs={0: 1, 5: 2},
+                           weights={0: Fraction(3), 5: Fraction(1, 2)})
+    return inst
+
+
+class TestCertifiedRecomputed:
+    """verify recomputes the certified fraction of two-tree, lambda and
+    treedepth results from the instance."""
+
+    def solve(self, capsys, tmp_path, inst, *method):
+        path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        path.write_text(serialize(inst))
+        argv = ["solve", str(path), "--method", *method, "--out", str(res)]
+        assert run(argv, capsys)[0] == 0
+        return path, res
+
+    @pytest.mark.parametrize(
+        "make,method,stated,tampered",
+        [
+            (lambda: random_ktree(1, 200, 2), ("two-tree",), "1/3", "0"),
+            (fig_3tree_with_request, ("lambda", "--lam", "2,2"), "1/4", "1/2"),
+            (lambda: random_treedepth(5, 10, 3), ("treedepth",), "1/3", "1/2"),
+            (lambda: random_treedepth(5, 10, 3, request_kind="weighted"),
+             ("treedepth",), "1/9", "1/3"),
+        ],
+    )
+    def test_tampered_certified_rejected(self, capsys, tmp_path, make, method,
+                                         stated, tampered):
+        path, res = self.solve(capsys, tmp_path, make(), *method)
+        text = res.read_text()
+        assert f"\ncertified {stated}\n" in text
+        code, out, _ = run(["verify", str(path), str(res)], capsys)
+        assert code == 0 and out.startswith("verified satisfied=")
+        res.write_text(text.replace(f"\ncertified {stated}\n", f"\ncertified {tampered}\n"))
+        code, _, err = run(["verify", str(path), str(res)], capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith("error precondition") and "certified" in err
+
+    @pytest.mark.parametrize(
+        "make,method,drop",
+        [
+            (fig_3tree_with_request, ("lambda", "--lam", "2,2"), "ktree"),
+            (lambda: random_ktree(1, 9, 2), ("two-tree",), "ktree"),
+            (lambda: random_treedepth(5, 10, 3), ("treedepth",), "forest"),
+        ],
+    )
+    def test_result_on_an_instance_without_its_structure(
+        self, capsys, tmp_path, make, method, drop
+    ):
+        inst = make()
+        path, res = self.solve(capsys, tmp_path, inst, *method)
+        setattr(inst, drop, None)
+        path.write_text(serialize(inst))
+        code, _, err = run(["verify", str(path), str(res)], capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith("error precondition")
+
+    def test_unknown_method_rejected(self, capsys, tmp_path):
+        path, res = self.solve(capsys, tmp_path, random_ktree(1, 9, 2), "two-tree")
+        res.write_text(res.read_text().replace("method two-tree", "method magic"))
+        code, _, err = run(["verify", str(path), str(res)], capsys)
+        assert code == 2 and "unknown method" in err
+
+    def test_verify_checks_the_coloring_once(self, capsys, tmp_path, monkeypatch):
+        path, res = self.solve(capsys, tmp_path, random_ktree(1, 9, 2), "two-tree")
+        calls = []
+        checked = listcolor.check_coloring
+
+        def counted(*args):
+            calls.append(1)
+            return checked(*args)
+
+        # patched in both modules, so a direct call from cli counts too
+        monkeypatch.setattr(listcolor, "check_coloring", counted)
+        monkeypatch.setattr(cli, "check_coloring", counted, raising=False)
+        assert run(["verify", str(path), str(res)], capsys)[0] == 0
+        assert len(calls) == 1
+
+
 # replacement tokens of the result-document fuzzer: out of range, empty,
-# a zero denominator, not a number, a decimal
-FUZZ_TOKENS = ("-1", "0", "99", "", "1/0", "x", "1.5")
+# a zero denominator, not a number, a decimal, another fraction
+FUZZ_TOKENS = ("-1", "0", "99", "", "1/0", "x", "1.5", "1/2")
 FUZZ_BASES = {
     "two-tree": lambda: random_ktree(1, 9, 2),
     "maxdeg": lambda: two_cliques_matching(3),
@@ -273,6 +360,46 @@ class TestResultFuzz:
             assert err.getvalue().startswith("error ")
         else:
             assert err.getvalue() == ""
+
+
+class TestResultParser:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_line_by_line_reference(self, solved_results, data):
+        _, results = solved_results
+        text = results[data.draw(st.sampled_from(sorted(results)))][1]
+        mutated = "\n".join(mutate(text.splitlines(), data)) + "\n"
+
+        def outcome(parser):
+            try:
+                return "ok", parser(mutated)
+            except FormatError as exc:
+                return "error", exc.line
+
+        assert outcome(_parse_result) == outcome(reference_parse_result)
+
+    @pytest.mark.parametrize(
+        "extra,line",
+        [("color 2 1\n", 3), ("color 1 1\ncolor 1 2\n", 4), ("color 1 x\n", 3)],
+    )
+    def test_first_bad_color_line(self, extra, line):
+        text = "flexicolor-result 1\ncolor 2 3\n" + extra + "method two-tree\n"
+        with pytest.raises(FormatError) as exc:
+            _parse_result(text)
+        assert exc.value.line == line
+        with pytest.raises(FormatError) as exc:
+            reference_parse_result(text)
+        assert exc.value.line == line
+
+    def test_runs_split_by_other_keys(self):
+        text = ("flexicolor-result 1\ncolor 1 3\nmethod maxdeg\ncolor 0 2\n"
+                "satisfied 1\ncertified 1/6\ntotal 2\n")
+        doc = _parse_result(text)
+        assert doc == reference_parse_result(text)
+        assert doc["coloring"] == {1: 3, 0: 2}
+        with pytest.raises(FormatError) as exc:
+            _parse_result(text + "color 1 2\n")
+        assert exc.value.line == 8
 
 
 class TestOracleCommand:

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexicolor.errors import PreconditionError
 from flexicolor.graph import Graph
@@ -244,3 +246,66 @@ class TestGameConnectivity:
         g = Graph(3, [(0, 1), (1, 2)])
         assert leaf_ratio(g, {0, 2}) == 1
         assert leaf_ratio(g, {1}) == 0
+
+
+def brute_three_connected(g):
+    """The definition, literally: every pair of vertices removed leaves a
+    connected graph; one induced subgraph per pair."""
+    if g.n < 4 or not g.is_connected():
+        return False
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            rest, _ = g.induced([v for v in range(g.n) if v not in (a, b)])
+            if not rest.is_connected():
+                return False
+    return True
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 12 vertices: dense random ones (often
+    3-connected) and the same with a few edges cut or a pendant vertex
+    (often not)."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.3, 0.6, 0.85]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+    if edges and draw(st.booleans()):
+        del edges[: draw(st.integers(1, min(3, len(edges))))]
+    if n > 1 and draw(st.booleans()):
+        # leave the last vertex with at most two neighbours
+        edges = [e for e in edges if e[1] != n - 1] + [(0, n - 1), (1, n - 1)][: n - 1]
+        edges = sorted(set(edges))
+    return Graph(n, edges)
+
+
+class TestThreeConnected:
+    @settings(max_examples=400, deadline=None)
+    @given(small_graphs())
+    def test_agrees_with_the_definition(self, g):
+        assert is_three_connected(g) == brute_three_connected(g)
+
+    def test_known_answers(self):
+        assert is_three_connected(random_three_connected(3, 12).g)
+        # a path with chords of length two: each pair of neighbours is a
+        # 2-cut
+        g = Graph(6, [(v, v + 1) for v in range(5)] + [(v, v + 2) for v in range(4)])
+        assert not is_three_connected(g) and not brute_three_connected(g)
+        # K4 minus an edge: its two degree-3 vertices separate the others
+        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        assert not is_three_connected(g) and not brute_three_connected(g)
+
+    def test_time_about_quadratic(self):
+        def best_of_five(n):
+            g = random_three_connected(1, n).g
+            best = float("inf")
+            for _ in range(5):
+                start = time.process_time()
+                assert is_three_connected(g)
+                best = min(best, time.process_time() - start)
+            return best
+
+        # twice the vertices: one low-link pass per vertex takes about 4
+        # times as long, one induced subgraph per pair about 8 times
+        ratio = best_of_five(160) / best_of_five(80)
+        assert ratio < 5, ratio

@@ -65,6 +65,33 @@ class TestGraphBasics:
         assert g.max_degree() == 3
         assert g.has_edge(1, 0) and not g.has_edge(1, 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 14), st.sets(st.tuples(st.integers(0, 13), st.integers(0, 13))))
+    def test_trusted_constructor_equals_the_checking_one(self, n, pairs):
+        edges = sorted({(u, v) for u, v in pairs if u < v < n})
+        trusted, checked = Graph._from_sorted(n, edges), Graph(n, edges[::-1])
+        assert trusted == checked and trusted.edges == checked.edges
+        for v in range(n):
+            assert trusted.neighbors(v) == checked.neighbors(v)
+
+    def test_subgraph_builders_match_the_checking_constructor(self):
+        def same_as_checked(h):
+            ref = Graph(h.n, h.edges[::-1])
+            return h.edges == ref.edges and all(
+                h.neighbors(v) == ref.neighbors(v) for v in range(h.n)
+            )
+
+        g = random_connected(random.Random(4), 30)
+        sub, ids = g.induced(v for v in range(30) if v % 3)
+        pos = {v: i for i, v in enumerate(ids)}
+        assert sub.edges == tuple(
+            (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
+        )
+        assert same_as_checked(sub)
+        for comp, part in g.components_without({0, 3, 6}):
+            assert part == g.induced(comp)[0] and same_as_checked(part)
+        assert same_as_checked(g.power(3))
+
     def test_components_sorted(self):
         g = Graph(5, [(3, 4), (0, 1)])
         assert g.components() == [[0, 1], [2], [3, 4]]

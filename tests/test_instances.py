@@ -25,6 +25,7 @@ from flexicolor.instances import (
 )
 from flexicolor.degeneracy import is_three_connected
 from flexicolor.oracle import optimal_satisfaction
+from reference import reference_parse
 
 
 class TestRoundTrip:
@@ -240,11 +241,33 @@ def canonical_documents() -> tuple:
     return tuple(serialize(inst) for inst in insts)
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# respellings of a number token that int() or a digit class may accept
+# but serialize never writes: other digits, a sign, a leading zero, an
+# underscore, a negative zero
+RESPELLINGS = (
+    lambda tok: tok.translate(ARABIC_INDIC),
+    lambda tok: tok + "0".translate(ARABIC_INDIC),
+    lambda tok: "+" + tok,
+    lambda tok: "-" + tok,
+    lambda tok: "0" + tok,
+    lambda tok: tok[0] + "_" + tok[1:] if len(tok) > 1 else tok + "_0",
+    lambda tok: "-0",
+)
+MUTATIONS = (
+    "respell", "swap", "duplicate", "crlf", "tab", "double-space",
+    "trailing-space", "loop-edge", "repeat-color",
+)
+
+
 def mutate(text: str, data) -> str:
-    """One sign, leading zero, swap of two edge lines or duplicated line."""
+    """One change to a canonical document: a number respelled, two edge
+    lines swapped, a line duplicated, a CR before a newline, a tab or a
+    doubled space for a space, a trailing space, an `edge 3 3` line, or
+    a list color repeated."""
     lines = text.split("\n")[:-1]
-    kind = data.draw(st.sampled_from(["sign", "zero", "swap", "duplicate"]))
-    if kind in ("sign", "zero"):
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    if kind == "respell":
         spots = [
             (i, j)
             for i, line in enumerate(lines)
@@ -253,18 +276,46 @@ def mutate(text: str, data) -> str:
         ]
         i, j = data.draw(st.sampled_from(spots))
         toks = lines[i].split(" ")
-        prefix = data.draw(st.sampled_from("+-")) if kind == "sign" else "0"
-        toks[j] = prefix + toks[j]
+        toks[j] = data.draw(st.sampled_from(RESPELLINGS))(toks[j])
         lines[i] = " ".join(toks)
-    elif kind == "swap":
+    elif kind in ("swap", "loop-edge"):
         rows = [i for i, line in enumerate(lines) if line.startswith("edge ")]
-        pair = st.lists(st.sampled_from(rows), min_size=2, max_size=2, unique=True)
-        a, b = data.draw(pair)
-        lines[a], lines[b] = lines[b], lines[a]
+        if kind == "swap":
+            pair = st.lists(st.sampled_from(rows), min_size=2, max_size=2, unique=True)
+            a, b = data.draw(pair)
+            lines[a], lines[b] = lines[b], lines[a]
+        else:
+            lines.insert(data.draw(st.sampled_from(rows + [rows[-1] + 1])), "edge 3 3")
+    elif kind == "repeat-color":
+        rows = [i for i, line in enumerate(lines) if line.startswith("list ")]
+        i = data.draw(st.sampled_from(rows))
+        toks = lines[i].split(" ")
+        j = data.draw(st.integers(2, len(toks) - 1))
+        toks.insert(j, toks[j])
+        lines[i] = " ".join(toks)
     else:
         i = data.draw(st.integers(0, len(lines) - 1))
-        lines.insert(i, lines[i])
+        if kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "crlf":
+            lines[i] += "\r"
+        elif kind == "trailing-space":
+            lines[i] += " "
+        else:
+            spaces = [j for j, ch in enumerate(lines[i]) if ch == " "]
+            if spaces:
+                j = data.draw(st.sampled_from(spaces))
+                spaced = "\t" if kind == "tab" else "  "
+                lines[i] = lines[i][:j] + spaced + lines[i][j + 1 :]
     return "\n".join(lines) + "\n"
+
+
+def outcome(parser, text: str):
+    """("ok", the result serialized) or ("error", the line) of one parser."""
+    try:
+        return "ok", serialize(parser(text))
+    except FormatError as exc:
+        return "error", exc.line
 
 
 class TestCanonicalBothWays:
@@ -277,6 +328,45 @@ class TestCanonicalBothWays:
         except FormatError:
             return
         assert serialize(inst) == mutated
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_parse_agrees_with_the_line_by_line_reference(self, data):
+        mutated = mutate(data.draw(st.sampled_from(canonical_documents())), data)
+        assert outcome(parse, mutated) == outcome(reference_parse, mutated)
+
+    @pytest.mark.parametrize("index", [3, 6, 8, 10, 11])
+    def test_every_respelling_of_every_number_agrees(self, index):
+        text = canonical_documents()[index]
+        lines = text.split("\n")
+        for i, line in enumerate(lines):
+            toks = line.split(" ")
+            for j, tok in enumerate(toks):
+                if not NUMBER.fullmatch(tok):
+                    continue
+                for respell in RESPELLINGS:
+                    changed = toks[:j] + [respell(tok)] + toks[j + 1 :]
+                    mutated = "\n".join(lines[:i] + [" ".join(changed)] + lines[i + 1 :])
+                    assert outcome(parse, mutated) == outcome(reference_parse, mutated)
+
+    @pytest.mark.parametrize(
+        "old,new,line",
+        [
+            ("edge 0 1\n", "edge 0 1\nedge 3 3\n", 5),
+            ("edge 0 2\n", "edge 0 2 \n", 5),
+            ("edge 1 2\n", "edge 1\t2\n", 6),
+            ("list 1 1 2 3\n", "list 1 1 2 2 3\n", 10),
+            ("list 2 1 2 3\n", "list 2 1 2 \u0663\n", 11),
+            ("request 2 1\n", "request 2 1_0\n", 16),
+            ("request 3 3\n", "request 3  3\n", 17),
+        ],
+    )
+    def test_first_bad_line_of_a_run(self, old, new, line):
+        text = serialize(fig_diamond())
+        assert old in text
+        broken = text.replace(old, new)
+        assert outcome(parse, broken) == ("error", line)
+        assert outcome(reference_parse, broken) == ("error", line)
 
 
 class TestParseScaling:

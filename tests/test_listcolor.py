@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexicolor.errors import BudgetExceededError, PreconditionError
 from flexicolor.graph import Graph
@@ -11,6 +12,7 @@ from flexicolor.listcolor import (
     Request,
     check_coloring,
     degree_choosable_coloring,
+    exact_sum,
     precolor_and_extend,
     reduce_to_unique,
     satisfied_amount,
@@ -103,6 +105,61 @@ class TestReduceToUnique:
                 continue
             u = reduce_to_unique(r, L)
             assert u.total() * 3 >= r.total()
+
+
+weights = st.fractions(min_value=0, max_value=20, max_denominator=12)
+
+
+@st.composite
+def colored_requests(draw):
+    """A path with lists {1, 2, 3}, a proper coloring of it and a request
+    of any kind with integer or fractional weights."""
+    n = draw(st.integers(1, 12))
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    L = {v: {1, 2, 3} for v in range(n)}
+    shift = draw(st.integers(0, 1))
+    coloring = {v: 1 + (v + shift) % 2 for v in range(n)}
+    vs = draw(st.lists(st.integers(0, n - 1), unique=True))
+    kind = draw(st.sampled_from(["unweighted", "unique", "weighted"]))
+    if kind == "weighted":
+        keys = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 3)),
+                             unique=True))
+        table = {key: draw(weights) for key in keys}
+        return g, L, coloring, Request("weighted", table=table)
+    prefs = {v: draw(st.integers(1, 3)) for v in vs}
+    if kind == "unweighted":
+        return g, L, coloring, Request("unweighted", prefs=prefs)
+    ws = {v: draw(weights.filter(lambda w: w > 0)) for v in vs}
+    return g, L, coloring, Request("unique", prefs=prefs, weights=ws)
+
+
+class TestExactSums:
+    """total and satisfied_amount sum over one common denominator; the
+    value and the type are those of adding Fractions one by one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(colored_requests())
+    def test_equal_to_one_by_one_sums(self, case):
+        g, L, coloring, r = case
+        if r.kind == "unweighted":
+            total = len(r.prefs)
+            hit = sum(1 for v, c in r.prefs.items() if coloring[v] == c)
+        elif r.kind == "unique":
+            total = sum(r.weights.values(), Fraction(0))
+            hit = sum((r.weights[v] for v, c in r.prefs.items() if coloring[v] == c),
+                      Fraction(0))
+        else:
+            total = sum(r.table.values(), Fraction(0))
+            hit = sum((w for (v, c), w in r.table.items() if coloring[v] == c),
+                      Fraction(0))
+        got_total, got_hit = r.total(), satisfied_amount(g, L, coloring, r)
+        assert (got_total, type(got_total)) == (total, type(total))
+        assert (got_hit, type(got_hit)) == (hit, type(hit))
+
+    def test_exact_sum_of_nothing_and_of_integers(self):
+        assert exact_sum([]) == 0 and type(exact_sum([])) is Fraction
+        assert exact_sum([Fraction(1, 2), Fraction(1, 3), 2]) == Fraction(17, 6)
+        assert exact_sum([Fraction(1, 2), 0.25]) == 0.75 == sum([Fraction(1, 2), 0.25])
 
 
 class TestDegreeChoosable:

@@ -1,0 +1,79 @@
+"""Digest the answers flexicolor gives on one benchmark pool.
+
+    python3 tools/answers_digest.py --workload NAME --seed N [--root CHECKOUT]
+
+Builds the pool of a perfbench workload for a seed with
+perfbench/workloads.py, runs solve, verify and oracle on every document
+through flexicolor.cli.main, and prints one line per document: its
+number, a sha256 over the result document, the verify output, the
+oracle document and the three exit statuses, and its label.  The oracle
+runs on every document; on a large one it stops at its budget with exit
+status 3.  --root names the source checkout to import flexicolor and
+perfbench from (by default the one holding this script), so running it
+on two checkouts and diffing the outputs shows whether a change gives
+byte-identical answers.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return b""
+
+
+def digests(workload: str, seed: int, scratch: str):
+    """(label, sha256 hex) of every document of the pool, in pool order."""
+    import workloads
+    from flexicolor import cli
+
+    jobs = workloads.build(workload, seed, os.path.join(scratch, "pool"))
+    result = os.path.join(scratch, "result.txt")
+    oracle = os.path.join(scratch, "oracle.txt")
+    for job in jobs:
+        for path in (result, oracle):
+            if os.path.exists(path):
+                os.remove(path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            codes = (
+                cli.main(["solve", job.doc, *job.solve_args, "--out", result]),
+                cli.main(["verify", job.doc, result]),
+                cli.main(["oracle", job.doc, "--out", oracle]),
+            )
+        h = hashlib.sha256()
+        for part in (_read(result), out.getvalue().encode(), _read(oracle),
+                     repr(codes).encode()):
+            h.update(len(part).to_bytes(8, "big"))
+            h.update(part)
+        yield job.label, h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--root", default=HERE, help="source checkout to run")
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    with tempfile.TemporaryDirectory() as scratch:
+        for i, (label, digest) in enumerate(digests(args.workload, args.seed, scratch)):
+            print(f"{i:05d} {digest} {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
