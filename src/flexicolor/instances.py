@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, compress, count, islice, repeat
@@ -89,11 +90,14 @@ def serialize(inst: InstanceFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A canonical integer as str() writes it.  The patterns spell digits as
-# ASCII [0-9]: the regex digit class, like int(), also takes the digits
-# of other scripts.
-INT = "(?:0|-?[1-9][0-9]*)"
-_NAT = "(?:0|[1-9][0-9]*)"
+# A canonical integer as str() writes it, with no more digits than int()
+# converts (the interpreter's limit; 0 means none).  The patterns spell
+# digits as ASCII [0-9]: the regex digit class, like int(), also takes
+# the digits of other scripts.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_MORE_DIGITS = f"[0-9]{{0,{_MAX_DIGITS - 1}}}" if _MAX_DIGITS else "[0-9]*"
+INT = f"(?:0|-?[1-9]{_MORE_DIGITS})"
+_NAT = f"(?:0|[1-9]{_MORE_DIGITS})"
 # a rational in any spelling; the value check keeps only canonical ones
 _RATIONAL = "-?[0-9]+(?:/[0-9]+)?"
 _INT_TOKEN = re.compile(INT)
@@ -345,7 +349,8 @@ def parse(text: str) -> InstanceFile:
             if kt_k is None:
                 raise FormatError("order requires a preceding ktree line", line=i)
             seq = tuple(parse_ints(args, i, "order entry"))
-            if sorted(seq) != list(range(n or 0)):
+            # the length first: n may be far larger than the document
+            if len(seq) != (n or 0) or sorted(seq) != list(range(len(seq))):
                 raise FormatError("order is not a vertex permutation", line=i)
             ktree = KTreeOrder(kt_k, seq)
         elif key == "td-parent":
@@ -378,7 +383,7 @@ def parse(text: str) -> InstanceFile:
     if n is None:
         raise FormatError("missing vertices line")
     if len(L) != n:
-        raise FormatError(f"missing lists for vertices {list(range(len(L), n))}")
+        raise FormatError(f"missing lists for vertices {len(L)}..{n - 1}")
     if ktree is None and kt_k is not None:
         raise FormatError("ktree line without an order line")
     try:

@@ -391,6 +391,17 @@ class TestResultParser:
             reference_parse_result(text)
         assert exc.value.line == line
 
+    def test_color_longer_than_int_converts(self, capsys, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        inst, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        inst.write_text(serialize(random_ktree(1, 9, 2)))
+        run(["solve", str(inst), "--method", "two-tree", "--out", str(res)], capsys)
+        res.write_text(res.read_text().replace("color 3 ", "color " + "3" * (limit + 1) + " ", 1))
+        code, _, err = run(["verify", str(inst), str(res)], capsys)
+        assert code == 2 and err.startswith("error format") and len(err.splitlines()) == 1
+
     def test_runs_split_by_other_keys(self):
         text = ("flexicolor-result 1\ncolor 1 3\nmethod maxdeg\ncolor 0 2\n"
                 "satisfied 1\ncertified 1/6\ntotal 2\n")

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from functools import lru_cache
 
@@ -124,6 +125,15 @@ class TestParserDiagnostics:
         assert text.splitlines()[-1].startswith("request ")
         with pytest.raises(FormatError, match="weight"):
             parse(text[:-1] + "/1\n")
+
+    @pytest.mark.parametrize("tail", ["", "list 0 1\nktree 0\norder 0\n"])
+    def test_vertex_count_far_beyond_the_document(self, tail):
+        # neither check may build a list of all the vertices
+        text = "flexicolor-instance 1\nvertices 1000000000000\n" + tail
+        start = time.process_time()
+        with pytest.raises(FormatError):
+            parse(text)
+        assert time.process_time() - start < 1
 
     def test_missing_final_newline(self):
         with pytest.raises(FormatError, match="newline"):
@@ -348,6 +358,20 @@ class TestCanonicalBothWays:
                     changed = toks[:j] + [respell(tok)] + toks[j + 1 :]
                     mutated = "\n".join(lines[:i] + [" ".join(changed)] + lines[i + 1 :])
                     assert outcome(parse, mutated) == outcome(reference_parse, mutated)
+
+    @pytest.mark.parametrize(
+        "old,line",
+        [("edge 0 1", 4), ("list 1 1 2 3", 10), ("request 2 1", 16), ("vertices 4", 3)],
+    )
+    def test_number_longer_than_int_converts(self, old, line):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        text = serialize(fig_diamond())
+        assert old + "\n" in text
+        broken = text.replace(old + "\n", old[:-1] + "1" * (limit + 1) + "\n")
+        assert outcome(parse, broken) == ("error", line)
+        assert outcome(reference_parse, broken) == ("error", line)
 
     @pytest.mark.parametrize(
         "old,new,line",
