@@ -31,13 +31,12 @@ from .instances import (
     first_bad,
     format_fraction,
     parse,
-    parse_dimacs,
     parse_fraction,
     parse_int,
     parse_ints,
     serialize,
 )
-from .listcolor import Request, satisfied_amount
+from .listcolor import Request, reduce_to_unique, satisfied_amount
 from .maxdeg import solve_unweighted, solve_weighted
 from .oracle import DEFAULT_BUDGET, optimal_satisfaction
 from .treedepth import TdInstance, derandomized_coloring
@@ -59,17 +58,14 @@ METHODS = (
 def _load_instance(path: str) -> InstanceFile:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.startswith(FORMAT_HEADER):
-        return parse(text)
-    g = parse_dimacs(text)
-    # graph-only ingestion: minimum admissible lists, no request
-    delta = g.max_degree()
-    L = {}
-    for v in range(g.n):
-        d = g.degree(v)
-        size = d if d == delta else d + 1
-        L[v] = set(range(1, max(size, 1) + 1))
-    return InstanceFile(g, L)
+    if not text.startswith(FORMAT_HEADER):
+        # checked before anything is built: a graph-only header such as
+        # DIMACS "p edge n m" may declare any number of vertices
+        raise PreconditionError(
+            "document is no flexicolor instance; graph-only input such as "
+            "DIMACS carries no request"
+        )
+    return parse(text)
 
 
 def _emit(lines: list, out: Optional[str]) -> None:
@@ -149,73 +145,49 @@ def _solve(args) -> int:
         _emit(lines, args.out)
         return 0 if met else 1
 
-    if method == "maxdeg":
-        mode = args.independent_set or "brooks"
-        outcome = solve_unweighted(g, L, request, mode)
-        coloring = outcome.coloring
-        satisfied = outcome.satisfied
-        certified = outcome.certified_fraction
-        total = outcome.request_total
-    elif method == "maxdeg-weighted":
-        mode = args.independent_set or "greedy"
-        outcome = solve_weighted(g, L, request, mode)
-        coloring = outcome.coloring
-        satisfied = outcome.satisfied
-        certified = outcome.certified_fraction
-        total = outcome.request_total
-    elif method == "two-tree":
-        if inst.ktree is None or inst.ktree.k != 2:
-            raise PreconditionError(
-                "method two-tree needs an instance with a 2-tree order"
-            )
-        family = two_tree_family(g, inst.ktree, L)
-        coloring = best_of_family(g, L, family, request)
-        satisfied = satisfied_amount(g, L, coloring, request)
-        certified = Fraction(1, family.period)
-        total = request.total()
-    elif method == "lambda":
-        if inst.ktree is None:
-            raise PreconditionError(
-                "method lambda needs an instance with a k-tree order"
-            )
-        if not args.lam:
-            raise PreconditionError("method lambda needs --lam, e.g. --lam 1,2")
-        lam = tuple(parse_int(p, None, "--lam part") for p in args.lam.split(","))
-        if min(lam) < 1:
-            raise PreconditionError(f"--lam parts must be positive, got {args.lam}")
-        classes = _infer_classes(L, lam)
-        family = lambda_family(g, inst.ktree, lam, classes, L)
-        coloring = best_of_family(g, L, family, request)
-        satisfied = satisfied_amount(g, L, coloring, request)
-        certified = Fraction(1, family.period)
-        total = request.total()
-    elif method == "treedepth":
-        if inst.forest is None:
-            raise PreconditionError(
-                "method treedepth needs an instance with a treedepth forest"
-            )
-        td = TdInstance(g, inst.forest, L)
-        k = td.k
-        if request.kind == "unweighted":
-            unique = Request(
-                "unique",
-                prefs=dict(request.prefs),
-                weights={v: Fraction(1) for v in request.prefs},
-            )
-            certified = Fraction(1, k)
-        elif request.kind == "unique":
-            unique = request
-            certified = Fraction(1, k)
+    certified = _certified_fraction(method, inst)
+    if method in ("maxdeg", "maxdeg-weighted"):
+        if method == "maxdeg":
+            solver, mode = solve_unweighted, args.independent_set or "brooks"
         else:
-            from .listcolor import reduce_to_unique
-
-            unique = reduce_to_unique(request, L)
-            certified = Fraction(1, k * max(len(L[v]) for v in range(g.n)))
-        coloring = derandomized_coloring(td, unique)
+            solver, mode = solve_weighted, args.independent_set or "greedy"
+        outcome = solver(g, L, request, mode)
+        coloring, satisfied = outcome.coloring, outcome.satisfied
+        certified, total = outcome.certified_fraction, outcome.request_total
+    else:
+        if method == "two-tree":
+            family = two_tree_family(g, inst.ktree, L)
+            coloring = best_of_family(g, L, family, request)
+        elif method == "lambda":
+            if not args.lam:
+                raise PreconditionError(
+                    "method lambda needs --lam, e.g. --lam 1,2"
+                )
+            lam = tuple(
+                parse_int(p, None, "--lam part") for p in args.lam.split(",")
+            )
+            if min(lam) < 1:
+                raise PreconditionError(
+                    f"--lam parts must be positive, got {args.lam}"
+                )
+            classes = _infer_classes(L, lam)
+            family = lambda_family(g, inst.ktree, lam, classes, L)
+            coloring = best_of_family(g, L, family, request)
+        else:  # treedepth
+            if request.kind == "unweighted":
+                unique = Request(
+                    "unique",
+                    prefs=dict(request.prefs),
+                    weights={v: Fraction(1) for v in request.prefs},
+                )
+            elif request.kind == "unique":
+                unique = request
+            else:
+                unique = reduce_to_unique(request, L)
+            coloring = derandomized_coloring(TdInstance(g, inst.forest, L), unique)
+        # the one check of the coloring in solve
         satisfied = satisfied_amount(g, L, coloring, request)
         total = request.total()
-    else:
-        raise PreconditionError(f"unknown method {method!r}")
 
     lines += [
         f"satisfied {format_fraction(satisfied)}",
@@ -344,30 +316,31 @@ def _parse_result(text: str) -> dict:
 
 
 def _certified_fraction(method: str, inst: InstanceFile) -> Optional[Fraction]:
-    """The fraction `method` certifies on inst, as solve computes it.
+    """The fraction `method` certifies on inst, for solve and verify.
 
     None for maxdeg, maxdeg-weighted and degeneracy: their fraction
     depends on the color count of a coloring (chi-hat) that the result
-    does not record, so verify takes the stated value for them.
+    does not record, so verify takes the stated value for them.  Raises
+    when inst lacks the order or forest the method needs.
     """
     if method not in METHODS:
         raise PreconditionError(f"result names unknown method {method!r}")
     if method == "two-tree":
         if inst.ktree is None or inst.ktree.k != 2:
             raise PreconditionError(
-                "a two-tree result needs an instance with a 2-tree order"
+                "method two-tree needs an instance with a 2-tree order"
             )
         return Fraction(1, 3)
     if method == "lambda":
         if inst.ktree is None:
             raise PreconditionError(
-                "a lambda result needs an instance with a k-tree order"
+                "method lambda needs an instance with a k-tree order"
             )
         return Fraction(1, inst.ktree.k + 1)
     if method == "treedepth":
         if inst.forest is None:
             raise PreconditionError(
-                "a treedepth result needs an instance with a treedepth forest"
+                "method treedepth needs an instance with a treedepth forest"
             )
         k = inst.forest.height()
         if inst.request.kind == "weighted":

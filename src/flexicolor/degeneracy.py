@@ -18,7 +18,8 @@ from .errors import (
     InternalInvariantError,
     PreconditionError,
 )
-from .graph import BrooksObstructionError, Graph, block_cut_tree, proper_coloring
+from .graph import Graph, block_cut_tree
+from .maxdeg import _independent_with_count
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,13 @@ class Hypergraph:
         return max((len(e) for e in self.edges), default=0)
 
 
-def _hyper_edge_connectivity(h: Hypergraph, need: int = 3) -> int:
-    """Edge connectivity, computed only far enough to compare with need.
+def _hyper_edge_connectivity(h: Hypergraph) -> int:
+    """Edge connectivity, computed only far enough to compare with 3.
 
     Max-flow with unit capacity per hyperedge between vertex 0 and every
-    other vertex; augmenting paths stop once the need is met.
+    other vertex; augmenting paths stop once 3 are found.
     """
+    need = 3
     if h.n <= 1:
         return need
     # node ids: vertices 0..n-1, edge e -> in node n+2i, out node n+2i+1
@@ -246,7 +248,7 @@ def _hyper_edge_connectivity(h: Hypergraph, need: int = 3) -> int:
 
 
 def is_three_edge_connected(h: Hypergraph) -> bool:
-    return _hyper_edge_connectivity(h, 3) >= 3
+    return _hyper_edge_connectivity(h) >= 3
 
 
 class _UnionFind:
@@ -465,17 +467,7 @@ def flexible_degeneracy_order(
             ordering, 0, Fraction(0), len(R0), {"note": "empty request"}
         )
 
-    try:
-        coloring = proper_coloring(g, 1, mode)
-        used_mode = mode
-    except BrooksObstructionError:
-        coloring = proper_coloring(g, 1, "greedy")
-        used_mode = "greedy"
-    chi_hat = len(set(coloring.values()))
-    classes: dict = {}
-    for v in R:
-        classes.setdefault(coloring[v], set()).add(v)
-    R_prime = set(max(classes.items(), key=lambda kv: (len(kv[1]), -kv[0]))[1])
+    R_prime, chi_hat, used_mode = _independent_with_count(g, R, 1, mode)
 
     rest = [v for v in range(g.n) if v not in R_prime]
     sub, ids = g.induced(rest)

@@ -33,6 +33,9 @@ class InstanceFile:
     seed: Optional[int] = None
 
     def validate(self) -> None:
+        """The one check of the instance invariants: the lists, the
+        request, the k-tree order and the forest.  parse and serialize
+        run it; the solvers take inputs that pass it as given."""
         validate_lists(self.g, self.L)
         if self.request is not None:
             self.request.validate(self.g, self.L)

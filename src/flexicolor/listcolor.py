@@ -136,14 +136,9 @@ def check_coloring(g: Graph, L: dict, coloring: dict) -> None:
             )
 
 
-def satisfied_amount(
-    g: Graph, L: dict, coloring: dict, request: Request
-) -> Union[int, Fraction]:
-    """How much of the request the coloring satisfies.
-
-    Validates the coloring first; counting happens only on valid input.
-    """
-    check_coloring(g, L, coloring)
+def satisfied_count(coloring: dict, request: Request) -> Union[int, Fraction]:
+    """How much of the request the coloring satisfies, without checking
+    the coloring: every requested vertex must be colored."""
     color_of = coloring.__getitem__
     if request.kind == "weighted":
         table = request.table
@@ -155,6 +150,17 @@ def satisfied_amount(
     if request.kind == "unweighted":
         return sum(hits)
     return exact_sum(map(request.weights.__getitem__, compress(prefs, hits)))
+
+
+def satisfied_amount(
+    g: Graph, L: dict, coloring: dict, request: Request
+) -> Union[int, Fraction]:
+    """How much of the request the coloring satisfies.
+
+    Validates the coloring first; counting happens only on valid input.
+    """
+    check_coloring(g, L, coloring)
+    return satisfied_count(coloring, request)
 
 
 def reduce_to_unique(request: Request, L: dict) -> Request:
@@ -196,23 +202,14 @@ def _is_bad_instance(g: Graph, L: dict) -> bool:
     return block_cut_tree(g).all_blocks_clique_or_odd_cycle()
 
 
-def _backtrack_coloring(
-    g: Graph, L: dict, budget: Optional[int] = None
-) -> Optional[dict]:
+def _backtrack_coloring(g: Graph, L: dict) -> Optional[dict]:
     """Complete search with fail-first ordering; None iff uncolorable."""
     order = sorted(range(g.n), key=lambda v: (len(L[v]), v))
     color: dict = {}
-    nodes = 0
 
     def rec(i: int) -> bool:
-        nonlocal nodes
         if i == len(order):
             return True
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"coloring search exceeded {budget} nodes"
-            )
         v = order[i]
         used = {color[u] for u in g.neighbors(v) if u in color}
         for c in sorted(L[v]):
@@ -236,8 +233,8 @@ def degree_choosable_coloring(
     tight but some block neither a clique nor an odd cycle, a coloring
     still exists; complete backtracking finds it.  Otherwise the
     instance is a bad component and exhaustive search decides it.
+    g and L must pass InstanceFile(g, L).validate().
     """
-    validate_lists(g, L)
     g.require_connected()
     for v in range(g.n):
         if len(L[v]) < g.degree(v):
@@ -288,9 +285,9 @@ def precolor_and_extend(
 
     Fixed vertices must be independent with on-list colors.  Their
     colors are deleted from neighbors' lists and each remaining
-    component is colored by degree_choosable_coloring.
+    component is colored by degree_choosable_coloring.  g and L must
+    pass InstanceFile(g, L).validate().
     """
-    validate_lists(g, L)
     for v, c in fixed.items():
         if not (0 <= v < g.n):
             raise PreconditionError(f"fixed vertex {v} out of range")

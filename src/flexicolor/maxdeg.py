@@ -22,7 +22,6 @@ from .listcolor import (
     precolor_and_extend,
     reduce_to_unique,
     satisfied_amount,
-    validate_lists,
 )
 
 
@@ -65,7 +64,6 @@ def _check_class_L(g: Graph, L: dict, delta: int) -> None:
 
 def _check_solver_preconditions(g: Graph, L: dict) -> int:
     g.require_connected()
-    validate_lists(g, L)
     delta = g.max_degree()
     if delta < 3:
         raise PreconditionError(f"maximum degree must be >= 3, got {delta}")
@@ -280,16 +278,18 @@ def solve_unweighted(
 ) -> SolverOutcome:
     """Proper list coloring satisfying at least |R|/(6 chi) requests,
     where chi is the color count of the independent-set coloring
-    (at most maxdeg in brooks mode, maxdeg+1 in greedy mode)."""
+    (at most maxdeg in brooks mode, maxdeg+1 in greedy mode).
+
+    g, L and request must pass InstanceFile(g, L, request).validate().
+    """
     if request.kind != "unweighted":
         raise PreconditionError("solve_unweighted expects an unweighted request")
     delta = _check_solver_preconditions(g, L)
-    request.validate(g, L)
     prefs = dict(request.prefs)
     R = set(prefs)
     if not R:
-        coloring = _color_without_requests(g, L)
-        return SolverOutcome(coloring, 0, Fraction(0), 0, mode, {"note": "empty request"})
+        trace = {"note": "empty request"}
+        return _finish(g, L, prefs, set(), request, Fraction(0), mode, trace)
 
     R_prime, chi_hat, used_mode = _independent_with_count(g, R, 1, mode)
     trace: dict = {
@@ -377,17 +377,6 @@ def _discharging_diagnostics(g: Graph, reports: list, Rpp: set) -> dict:
     }
 
 
-def _color_without_requests(g: Graph, L: dict) -> dict:
-    from .listcolor import degree_choosable_coloring
-
-    res = degree_choosable_coloring(g, L)
-    if isinstance(res, Infeasible):
-        raise InternalInvariantError(
-            "instance inside the solver's graph class has no list coloring"
-        )
-    return res
-
-
 def solve_weighted(
     g: Graph, L: dict, request: Request, mode: str = "greedy"
 ) -> SolverOutcome:
@@ -396,9 +385,9 @@ def solve_weighted(
     Uniquely weighted input certifies total/(2 chi3) satisfied weight,
     general weighted input total/(2 chi3 maxlist); chi3 is the color
     count used on the cube of the graph (at most maxdeg^3 either way).
+    g, L and request must pass InstanceFile(g, L, request).validate().
     """
     delta = _check_solver_preconditions(g, L)
-    request.validate(g, L)
     trace: dict = {}
     if request.kind == "weighted":
         unique = reduce_to_unique(request, L)
@@ -415,11 +404,8 @@ def solve_weighted(
     weights = dict(unique.weights)
     R = set(prefs)
     if not R:
-        coloring = _color_without_requests(g, L)
-        return SolverOutcome(
-            coloring, Fraction(0), Fraction(0), request.total(), mode,
-            {"note": "empty request"},
-        )
+        trace = {"note": "empty request"}
+        return _finish(g, L, prefs, set(), request, Fraction(0), mode, trace)
 
     R_prime, chi3, used_mode = _independent_with_count(g, R, 3, mode, weights)
     trace.update(

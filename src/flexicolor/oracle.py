@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 from .errors import BudgetExceededError, PreconditionError
 from .graph import Graph
-from .listcolor import Request, validate_lists
+from .listcolor import Request
 
 DEFAULT_BUDGET = 10**7
 
@@ -135,10 +135,9 @@ def optimal_satisfaction(
     the coloring is the lexicographically first optimal one along the
     order, colors ascending (the first optimum a depth-first sweep of
     that order meets).  The optimum is an int for unweighted requests
-    and a Fraction otherwise.
+    and a Fraction otherwise.  g, L and request must pass
+    InstanceFile(g, L, request).validate().
     """
-    validate_lists(g, L)
-    request.validate(g, L)
     _check_budget(g, L, budget)
     if request.kind == "unweighted":
         weights = {(v, c): 1 for v, c in request.prefs.items()}
@@ -156,8 +155,8 @@ def optimal_satisfaction(
 def is_degree_choosable_here(
     g: Graph, L: dict, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """True iff at least one proper list coloring exists."""
-    validate_lists(g, L)
+    """True iff at least one proper list coloring exists.  g and L must
+    pass InstanceFile(g, L).validate()."""
     _check_budget(g, L, budget)
     return _sweep(g, L, {})[0] > 0
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import Graph, TreedepthForest
-from .listcolor import Request, check_coloring, validate_lists
+from .listcolor import Request, check_coloring
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class TdInstance:
         return self.forest.height()
 
     def validate(self) -> None:
-        validate_lists(self.g, self.L)
-        self.forest.validate(self.g)
+        """Check each list against the forest height.  The graph, forest
+        and lists must pass InstanceFile(g, L, forest=forest).validate()."""
         k = self.k
         for v in range(self.g.n):
             if len(self.L[v]) < k:
@@ -118,11 +118,6 @@ class _Recursion:
         self.prefs = prefs
         self.depth = {v: inst.forest.depth(v) for v in range(inst.g.n)}
         self.anc = {v: inst.forest.ancestors(v) for v in range(inst.g.n)}
-        for v, c in prefs.items():
-            if c not in inst.L[v]:
-                raise PreconditionError(
-                    f"requested color {c} at vertex {v} is not in its list"
-                )
         self.lists0 = _trimmed_lists(inst, prefs)
         self.k = inst.k
 
@@ -227,7 +222,9 @@ class _Recursion:
 def sample_coloring(
     inst: TdInstance, seed: int, request: Optional[Request] = None
 ) -> dict:
-    """One coloring drawn from the recursive distribution."""
+    """One coloring drawn from the recursive distribution.  inst and
+    request must pass InstanceFile(inst.g, inst.L, request,
+    forest=inst.forest).validate()."""
     prefs = _unique_prefs(request)
     rec = _Recursion(inst, prefs)
     rng = random.Random(seed)
@@ -241,7 +238,9 @@ def sample_coloring(
 def exact_request_probability(
     inst: TdInstance, v: int, c: int, request: Optional[Request] = None
 ) -> Fraction:
-    """Probability that the sampler uses color c at vertex v, exactly."""
+    """Probability that the sampler uses color c at vertex v, exactly.
+    inst and request must pass InstanceFile(inst.g, inst.L, request,
+    forest=inst.forest).validate()."""
     if c not in inst.L[v]:
         raise PreconditionError(f"color {c} is not in the list of vertex {v}")
     prefs = _unique_prefs(request)
@@ -256,7 +255,9 @@ def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
     """Deterministic coloring with satisfied weight at least the
     distribution's expectation, hence at least total/height.
 
-    Chooses each root color by exact conditional expectation.
+    Chooses each root color by exact conditional expectation.  inst
+    and request must pass InstanceFile(inst.g, inst.L, request,
+    forest=inst.forest).validate(); the caller checks the coloring.
     """
     if request.kind != "unique":
         raise PreconditionError(
@@ -270,7 +271,6 @@ def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
     for comp in rec.components(list(range(inst.g.n))):
         expectation += rec.expected_weight(comp, rec.lists0, rec.k, weights)
         out.update(rec.derandomize(comp, rec.lists0, rec.k, weights))
-    check_coloring(inst.g, inst.L, out)
     satisfied = sum(
         (weights[v] for v in prefs if out[v] == prefs[v]), Fraction(0)
     )

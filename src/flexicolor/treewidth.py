@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import Graph, KTreeOrder, validate_ktree_order
-from .listcolor import Request, satisfied_amount, validate_lists
+from .listcolor import Request, satisfied_count
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,15 @@ def best_of_family(
     """Family member with the largest satisfied amount (first on ties).
 
     Averaging over the family guarantees the winner satisfies at least
-    total/period of the request weight.
+    total/period of the request weight.  g and L are not read: members
+    are scored without being checked, and the caller checks the winner.
     """
     if not family.members:
         raise PreconditionError("empty coloring family")
     best = None
     best_val = None
     for phi in family.members:
-        val = satisfied_amount(g, L, phi, request)
+        val = satisfied_count(phi, request)
         if best_val is None or val > best_val:
             best, best_val = phi, val
     total = request.total()
@@ -100,8 +101,10 @@ def best_of_family(
 
 
 def tree_pair_family(g: Graph, L: dict) -> ColoringFamily:
-    """Two proper colorings of a tree that jointly use each 2-list."""
-    validate_lists(g, L)
+    """Two proper colorings of a tree that jointly use each 2-list.
+
+    g and L must pass InstanceFile(g, L).validate().
+    """
     if not g.is_connected() or g.m != g.n - 1:
         raise PreconditionError("input is not a tree")
     for v in range(g.n):
@@ -247,13 +250,12 @@ def _seed_edge(u: int, v: int, Lu, Lv) -> list:
 
 def two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
     """Six colorings of a 2-tree, each 3-list color twice per vertex,
-    admissible at every edge."""
-    validate_lists(g, L)
+    admissible at every edge.
+
+    g, L and order must pass InstanceFile(g, L, ktree=order).validate().
+    """
     if order.k != 2:
         raise PreconditionError(f"expected a 2-tree order, got width {order.k}")
-    violation = validate_ktree_order(g, order)
-    if violation is not None:
-        raise PreconditionError(f"invalid 2-tree order: {violation.message}")
     for v in range(g.n):
         if len(L[v]) != 3:
             raise PreconditionError(
@@ -283,6 +285,9 @@ def check_admissible_everywhere(g: Graph, L: dict, family: ColoringFamily) -> No
 
 # ---------------------------------------------------------------------------
 # k-trees with class-split lists
+
+# the most members lambda_family builds before it gives up
+FAMILY_CAP = 10**6
 
 
 def build_SA(g: Graph, order: KTreeOrder, A: Iterable[int], lam_t: int) -> set:
@@ -369,19 +374,15 @@ def _base_family(g: Graph, order: KTreeOrder, lam1: int, L: dict) -> ColoringFam
 
 
 def lambda_family(
-    g: Graph,
-    order: KTreeOrder,
-    lam: tuple,
-    classes: tuple,
-    L: dict,
-    cap: int = 10**6,
+    g: Graph, order: KTreeOrder, lam: tuple, classes: tuple, L: dict
 ) -> ColoringFamily:
     """Family of list colorings on a k-tree whose lists split across
     disjoint color classes, with each class contributing a fixed number
     of list entries per vertex.  Every (vertex, color) pair appears in
     exactly 1/(k+1) of the members.
+
+    g, L and order must pass InstanceFile(g, L, ktree=order).validate().
     """
-    validate_lists(g, L)
     lam = tuple(lam)
     k = sum(lam) - 1
     if order.k != k:
@@ -410,13 +411,10 @@ def lambda_family(
             raise PreconditionError(
                 f"vertex {v} has list size {len(L[v])}, expected {k + 1}"
             )
-    violation = validate_ktree_order(g, order)
-    if violation is not None:
-        raise PreconditionError(f"invalid k-tree order: {violation.message}")
     size = family_size(lam)
-    if size > cap:
+    if size > FAMILY_CAP:
         raise BudgetExceededError(
-            f"family would have {size} members, above the cap {cap}"
+            f"family would have {size} members, above the cap {FAMILY_CAP}"
         )
     fam = _lambda_family_rec(g, order, lam, classes, L)
     if len(fam.members) != size:

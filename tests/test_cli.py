@@ -4,18 +4,21 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexicolor import cli, listcolor
+from flexicolor import cli, graph, listcolor
 from flexicolor.cli import _parse_result, main
 from flexicolor.errors import FormatError
+from flexicolor.graph import TreedepthForest
 from flexicolor.instances import (
     fig_3tree,
     fig_diamond,
+    random_bounded_degree,
     random_ktree,
     random_three_connected,
     random_treedepth,
@@ -215,6 +218,11 @@ def fig_3tree_with_request():
     return inst
 
 
+def with_request(inst, request):
+    inst.request = request
+    return inst
+
+
 class TestCertifiedRecomputed:
     """verify recomputes the certified fraction of two-tree, lambda and
     treedepth results from the instance."""
@@ -273,20 +281,78 @@ class TestCertifiedRecomputed:
         code, _, err = run(["verify", str(path), str(res)], capsys)
         assert code == 2 and "unknown method" in err
 
-    def test_verify_checks_the_coloring_once(self, capsys, tmp_path, monkeypatch):
-        path, res = self.solve(capsys, tmp_path, random_ktree(1, 9, 2), "two-tree")
-        calls = []
-        checked = listcolor.check_coloring
-
-        def counted(*args):
-            calls.append(1)
-            return checked(*args)
-
-        # patched in both modules, so a direct call from cli counts too
-        monkeypatch.setattr(listcolor, "check_coloring", counted)
-        monkeypatch.setattr(cli, "check_coloring", counted, raising=False)
+    @pytest.mark.parametrize(
+        "make,method",
+        [
+            pytest.param(lambda: two_cliques_matching(3), ("maxdeg",), id="maxdeg"),
+            pytest.param(
+                lambda: with_request(two_cliques_matching(3), Request("unweighted")),
+                ("maxdeg",),
+                id="maxdeg-empty-request",
+            ),
+            pytest.param(
+                lambda: random_bounded_degree(2, 14, 3, request_kind="unique"),
+                ("maxdeg-weighted",),
+                id="maxdeg-weighted",
+            ),
+            pytest.param(lambda: random_ktree(1, 9, 2), ("two-tree",), id="two-tree"),
+            pytest.param(
+                fig_3tree_with_request, ("lambda", "--lam", "2,2"), id="lambda"
+            ),
+            pytest.param(
+                lambda: random_treedepth(5, 10, 3), ("treedepth",), id="treedepth"
+            ),
+        ],
+    )
+    def test_each_invariant_checked_once(
+        self, capsys, tmp_path, monkeypatch, make, method
+    ):
+        """solve and verify each check the coloring once; the lists, the
+        k-tree order and the forest of each parsed document are checked
+        once, when it is parsed."""
+        path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        path.write_text(serialize(make()))
+        parsed, forests = [], []
+        parse, validate = cli.parse, TreedepthForest.validate
+        monkeypatch.setattr(
+            cli, "parse", lambda text: parsed.append(parse(text)) or parsed[-1]
+        )
+        monkeypatch.setattr(
+            TreedepthForest,
+            "validate",
+            lambda forest, g: forests.append(g) or validate(forest, g),
+        )
+        colorings = record_calls(monkeypatch, listcolor.check_coloring)
+        lists = record_calls(monkeypatch, listcolor.validate_lists)
+        orders = record_calls(monkeypatch, graph.validate_ktree_order)
+        argv = ["solve", str(path), "--method", *method, "--out", str(res)]
+        assert run(argv, capsys)[0] == 0
+        assert len(colorings) == 1
         assert run(["verify", str(path), str(res)], capsys)[0] == 0
-        assert len(calls) == 1
+        assert len(colorings) == 2
+        assert len(parsed) == 2 and len(lists) == 2
+        for doc in parsed:
+            assert sum(g is doc.g for g in lists) == 1
+            assert sum(g is doc.g for g in orders) == (doc.ktree is not None)
+            assert sum(g is doc.g for g in forests) == (doc.forest is not None)
+        assert len(forests) == sum(doc.forest is not None for doc in parsed)
+
+
+def record_calls(monkeypatch, fn) -> list:
+    """Rebind fn in every loaded flexicolor module that holds it; the
+    returned list gets the first argument of each call."""
+    seen: list = []
+
+    def wrapped(*args, **kwargs):
+        seen.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "flexicolor" or name.startswith("flexicolor."):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, wrapped)
+    return seen
 
 
 # replacement tokens of the result-document fuzzer: out of range, empty,
@@ -427,6 +493,16 @@ class TestOracleCommand:
         code, _, err = run(["oracle", str(p)], capsys)
         # graph-only document carries no request
         assert code == 2 and "no request" in err
+
+    def test_graph_only_input_rejected_before_it_is_built(self, capsys, tmp_path):
+        # a billion declared vertices: rejected from the header alone
+        p = tmp_path / "huge.col"
+        p.write_text("p edge 1000000000 0\n")
+        start = time.process_time()
+        code, out, err = run(["oracle", str(p)], capsys)
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error precondition") and "carries no request" in err
 
     def test_format_error_exit(self, capsys, tmp_path):
         p = tmp_path / "junk.fi"

@@ -6,12 +6,13 @@ Builds the pool of a perfbench workload for a seed with
 perfbench/workloads.py, runs solve, verify and oracle on every document
 through flexicolor.cli.main, and prints one line per document: its
 number, a sha256 over the result document, the verify output, the
-oracle document and the three exit statuses, and its label.  The oracle
-runs on every document; on a large one it stops at its budget with exit
-status 3.  --root names the source checkout to import flexicolor and
-perfbench from (by default the one holding this script), so running it
-on two checkouts and diffing the outputs shows whether a change gives
-byte-identical answers.
+oracle document, the stderr of each of the three commands and their
+exit statuses, and its label.  The oracle runs on every document; on a
+large one it stops at its budget with exit status 3.  --root names the
+source checkout to import flexicolor and perfbench from (by default the
+one holding this script), so running it on two checkouts and diffing the
+outputs shows whether a change gives byte-identical answers and the
+same error lines.
 """
 from __future__ import annotations
 
@@ -46,16 +47,19 @@ def digests(workload: str, seed: int, scratch: str):
         for path in (result, oracle):
             if os.path.exists(path):
                 os.remove(path)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            codes = (
-                cli.main(["solve", job.doc, *job.solve_args, "--out", result]),
-                cli.main(["verify", job.doc, result]),
-                cli.main(["oracle", job.doc, "--out", oracle]),
-            )
+        out, errs, codes = io.StringIO(), [], []
+        for argv in (
+            ["solve", job.doc, *job.solve_args, "--out", result],
+            ["verify", job.doc, result],
+            ["oracle", job.doc, "--out", oracle],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                codes.append(cli.main(argv))
+            errs.append(err.getvalue().encode())
         h = hashlib.sha256()
         for part in (_read(result), out.getvalue().encode(), _read(oracle),
-                     repr(codes).encode()):
+                     *errs, repr(tuple(codes)).encode()):
             h.update(len(part).to_bytes(8, "big"))
             h.update(part)
         yield job.label, h.hexdigest()
