@@ -80,6 +80,11 @@ def _emit(lines: list, out: Optional[str]) -> None:
 def _infer_classes(L: dict, lam: tuple) -> tuple:
     """Partition of the palette putting exactly lam[i] colors of every
     list into class i, found by backtracking over colors."""
+    no_partition = f"lists admit no color-class partition with parts {lam}"
+    # every list takes lam[i] colors from each class i, so sum(lam) in all
+    size = sum(lam)
+    if any(len(lst) != size for lst in L.values()):
+        raise PreconditionError(no_partition)
     palette = sorted(set().union(*L.values()))
     t = len(lam)
     assign: dict = {}
@@ -110,9 +115,7 @@ def _infer_classes(L: dict, lam: tuple) -> tuple:
         return False
 
     if not rec(0):
-        raise PreconditionError(
-            f"lists admit no color-class partition with parts {lam}"
-        )
+        raise PreconditionError(no_partition)
     return tuple(
         tuple(c for c in palette if assign[c] == i) for i in range(t)
     )

@@ -448,32 +448,11 @@ def _brooks_two_connected(g: Graph, delta: int) -> dict[int, int]:
                 raise InternalInvariantError(
                     "two-connected Brooks case used too many colors"
                 )
-    # theoretically unreachable for 2-connected regular non-complete
-    # non-cycle graphs; exact fallback keeps the contract honest
-    found = _exhaustive_k_coloring(g, delta)
-    if found is None:
-        raise InternalInvariantError("no Brooks triple and no exhaustive coloring")
-    return found
-
-
-def _exhaustive_k_coloring(g: Graph, k: int) -> Optional[dict[int, int]]:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    color: dict[int, int] = {}
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        used = {color[u] for u in g.neighbors(v) if u in color}
-        for c in range(k):
-            if c not in used:
-                color[v] = c
-                if rec(i + 1):
-                    return True
-                del color[v]
-        return False
-
-    return dict(color) if rec(0) else None
+    # Lovasz: every 2-connected Delta-regular non-complete graph with
+    # Delta >= 3 has such a triple
+    raise InternalInvariantError(
+        "no Brooks triple in a 2-connected regular non-complete graph"
+    )
 
 
 def proper_coloring(g: Graph, power: int, mode: str) -> dict[int, int]:

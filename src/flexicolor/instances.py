@@ -17,7 +17,6 @@ from typing import Optional
 from .errors import FormatError, PreconditionError
 from .graph import Graph, KTreeOrder, TreedepthForest, validate_ktree_order
 from .listcolor import Request, validate_lists
-from .oracle import optimal_satisfaction
 
 FORMAT_HEADER = "flexicolor-instance 1"
 
@@ -453,8 +452,9 @@ def fig_cycle() -> InstanceFile:
     """Ten-cycle with size-2 lists on which no request is satisfiable.
 
     Eight vertices carry the drawn lists and requests; the two remaining
-    ones get the smallest completion (by list pair, then requested
-    colors) that keeps the exact optimum at zero.
+    ones, 5 and 6, get the smallest completion (by list pair, then
+    requested colors) that keeps the exact optimum at zero:
+    L5 = L6 = {1, 2} with requests 5 -> 1 and 6 -> 2.
     """
     g = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
     L = {
@@ -463,25 +463,16 @@ def fig_cycle() -> InstanceFile:
         2: {1, 3},
         3: {1, 2},
         4: {1, 2},
+        5: {1, 2},
+        6: {1, 2},
         7: {1, 2},
         8: {1, 2},
         9: {1, 2},
     }
-    prefs = {0: 2, 3: 1, 4: 2, 7: 1, 8: 2, 9: 1}
-    palette_pairs = [set(p) for p in combinations((1, 2, 3), 2)]
-    for l5 in palette_pairs:
-        for c5 in sorted(l5):
-            for l6 in palette_pairs:
-                for c6 in sorted(l6):
-                    trial_L = {**L, 5: l5, 6: l6}
-                    trial = Request(
-                        "unweighted", prefs={**prefs, 5: c5, 6: c6}
-                    )
-                    if optimal_satisfaction(g, trial_L, trial).optimum == 0:
-                        return InstanceFile(
-                            g, trial_L, trial, name="fig-cycle"
-                        )
-    raise PreconditionError("no zero-optimum completion exists")
+    prefs = {0: 2, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 2, 9: 1}
+    return InstanceFile(
+        g, L, Request("unweighted", prefs=prefs), name="fig-cycle"
+    )
 
 
 def fig_diamond() -> InstanceFile:
@@ -669,6 +660,8 @@ def random_ktree(
     request_size: Optional[int] = None,
 ) -> InstanceFile:
     """Random k-tree with its construction order and (k+1)-sized lists."""
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
     if n < k + 1:
         raise PreconditionError(f"a {k}-tree needs at least {k + 1} vertices")
     rng = random.Random(seed)
@@ -705,6 +698,8 @@ def random_treedepth(
 ) -> InstanceFile:
     """Random rooted forest of bounded height with a random subgraph of
     its ancestor closure, lists of the height's size."""
+    if n < 1:
+        raise PreconditionError(f"vertex count must be >= 1, got {n}")
     if height < 1:
         raise PreconditionError(f"height must be >= 1, got {height}")
     rng = random.Random(seed)

@@ -5,6 +5,10 @@ a derandomized solver.
 The distribution colors the deepest available root uniformly, deletes
 its color downward, trims every untouched list by one entry (never a
 requested color), and recurses per component with one list slot less.
+One exact-expectation pass over that recursion gives both the
+derandomized coloring and the request probabilities: it values every
+root color by the exact conditional expectation of a gain and keeps
+the coloring of the best one.
 """
 from __future__ import annotations
 
@@ -159,7 +163,11 @@ class _Recursion:
             out.update(self.sample(sub, sub_lists, h - 1, rng))
         return out
 
-    def probability(self, comp: list, lists: dict, h: int, v: int, c: int) -> Fraction:
+    def expectation(self, comp: list, lists: dict, h: int, gain: dict) -> tuple:
+        """Exact expected gain of the distribution on comp, and the
+        coloring that takes at each root the color of largest conditional
+        expectation, the smallest such color on ties.  gain maps
+        (vertex, color) to what coloring vertex with color earns."""
         root = _component_root(comp, self.depth, self.anc)
         choices = sorted(lists[root])
         if len(choices) != h:
@@ -167,56 +175,23 @@ class _Recursion:
                 f"vertex {root} has list size {len(choices)} at a level "
                 f"needing {h}"
             )
-        if v == root:
-            return Fraction(int(c in choices), h)
         total = Fraction(0)
+        best_value = best = None
         for rc in choices:
-            sub_lists = _delete_and_trim(lists, comp, root, rc, self.prefs, h)
-            for sub in self.components(comp, without=root):
-                if v in sub:
-                    total += Fraction(1, h) * self.probability(
-                        sub, sub_lists, h - 1, v, c
+            value = gain.get((root, rc), 0)
+            coloring = {root: rc}
+            if len(comp) > 1:
+                sub_lists = _delete_and_trim(lists, comp, root, rc, self.prefs, h)
+                for sub in self.components(comp, without=root):
+                    sub_value, sub_coloring = self.expectation(
+                        sub, sub_lists, h - 1, gain
                     )
-                    break
-        return total
-
-    def expected_weight(
-        self, comp: list, lists: dict, h: int, weights: dict
-    ) -> Fraction:
-        root = _component_root(comp, self.depth, self.anc)
-        choices = sorted(lists[root])
-        total = Fraction(0)
-        for rc in choices:
-            value = Fraction(0)
-            if self.prefs.get(root) == rc:
-                value += weights[root]
-            if len(comp) > 1:
-                sub_lists = _delete_and_trim(lists, comp, root, rc, self.prefs, h)
-                for sub in self.components(comp, without=root):
-                    value += self.expected_weight(sub, sub_lists, h - 1, weights)
-            total += Fraction(1, h) * value
-        return total
-
-    def derandomize(self, comp: list, lists: dict, h: int, weights: dict) -> dict:
-        root = _component_root(comp, self.depth, self.anc)
-        best_c = None
-        best_val = None
-        for rc in sorted(lists[root]):
-            value = Fraction(0)
-            if self.prefs.get(root) == rc:
-                value += weights[root]
-            if len(comp) > 1:
-                sub_lists = _delete_and_trim(lists, comp, root, rc, self.prefs, h)
-                for sub in self.components(comp, without=root):
-                    value += self.expected_weight(sub, sub_lists, h - 1, weights)
-            if best_val is None or value > best_val:
-                best_c, best_val = rc, value
-        out = {root: best_c}
-        if len(comp) > 1:
-            sub_lists = _delete_and_trim(lists, comp, root, best_c, self.prefs, h)
-            for sub in self.components(comp, without=root):
-                out.update(self.derandomize(sub, sub_lists, h - 1, weights))
-        return out
+                    value += sub_value
+                    coloring.update(sub_coloring)
+            total += value
+            if best_value is None or value > best_value:
+                best_value, best = value, coloring
+        return total / h, best
 
 
 def sample_coloring(
@@ -247,7 +222,7 @@ def exact_request_probability(
     rec = _Recursion(inst, prefs)
     for comp in rec.components(list(range(inst.g.n))):
         if v in comp:
-            return rec.probability(comp, rec.lists0, rec.k, v, c)
+            return rec.expectation(comp, rec.lists0, rec.k, {(v, c): 1})[0]
     raise InternalInvariantError(f"vertex {v} missing from every component")
 
 
@@ -265,12 +240,14 @@ def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
         )
     prefs = _unique_prefs(request)
     weights = {v: Fraction(request.weights[v]) for v in prefs}
+    gain = {(v, c): weights[v] for v, c in prefs.items()}
     rec = _Recursion(inst, prefs)
     out = {}
     expectation = Fraction(0)
     for comp in rec.components(list(range(inst.g.n))):
-        expectation += rec.expected_weight(comp, rec.lists0, rec.k, weights)
-        out.update(rec.derandomize(comp, rec.lists0, rec.k, weights))
+        value, coloring = rec.expectation(comp, rec.lists0, rec.k, gain)
+        expectation += value
+        out.update(coloring)
     satisfied = sum(
         (weights[v] for v in prefs if out[v] == prefs[v]), Fraction(0)
     )

@@ -9,7 +9,7 @@ by averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Optional
 
@@ -141,11 +141,6 @@ def tree_pair_family(g: Graph, L: dict) -> ColoringFamily:
 # ---------------------------------------------------------------------------
 # 2-trees: six colorings, each list color twice per vertex
 
-# all ways to place three colors twice each over six positions, as
-# color-index patterns in lexicographic order
-_PATTERNS: tuple = tuple(sorted(set(permutations((0, 0, 1, 1, 2, 2)))))
-
-
 def is_admissible(phis: list, u: int, v: int, Lu, Lv) -> bool:
     """The four conditions tying six colorings to an edge uv."""
     pairs = set()
@@ -227,25 +222,20 @@ def extend_phi(phis: list, u: int, v: int, w: int, Lw) -> list:
 
 
 def _seed_edge(u: int, v: int, Lu, Lv) -> list:
-    """Lexicographically smallest admissible six-coloring of one edge."""
-    cu = sorted(Lu)
-    cv = sorted(Lv)
-    for pat_u in _PATTERNS:
-        us = tuple(cu[i] for i in pat_u)
-        best_vs = None
-        for pat_v in _PATTERNS:
-            vs = tuple(cv[i] for i in pat_v)
-            if any(a == b for a, b in zip(us, vs)):
-                continue
-            if len(set(zip(us, vs))) != 6:
-                continue
-            best_vs = vs
-            break
-        if best_vs is not None:
-            return [{u: a, v: b} for a, b in zip(us, best_vs)]
-    raise InternalInvariantError(
-        f"no admissible seed for lists {cu} and {cv}"
-    )
+    """Lexicographically smallest admissible six-coloring of one edge.
+
+    u takes its colors in ascending order, each twice, the smallest
+    arrangement of all; v then takes the smallest arrangement of its
+    list that keeps the edge admissible, which is what extending a new
+    vertex against two copies of u's colors finds.
+    """
+    us = tuple(c for c in sorted(Lu) for _ in range(2))
+    vs = _extend_values(us, us, Lv)
+    if vs is None:
+        raise InternalInvariantError(
+            f"no admissible seed for lists {sorted(Lu)} and {sorted(Lv)}"
+        )
+    return [{u: a, v: b} for a, b in zip(us, vs)]
 
 
 def two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
@@ -262,17 +252,14 @@ def two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
                 f"vertex {v} has list size {len(L[v])}, expected 3"
             )
     seq = order.sequence
-    if g.n == 2:
-        phis = _seed_edge(seq[0], seq[1], L[seq[0]], L[seq[1]])
-    else:
-        phis = _seed_edge(seq[0], seq[1], L[seq[0]], L[seq[1]])
-        pos = order.position()
-        for i in range(2, g.n):
-            w = seq[i]
-            u, v = sorted(
-                (x for x in g.neighbors(w) if pos[x] < i), key=lambda x: pos[x]
-            )
-            extend_phi(phis, u, v, w, L[w])
+    phis = _seed_edge(seq[0], seq[1], L[seq[0]], L[seq[1]])
+    pos = order.position()
+    for i in range(2, g.n):
+        w = seq[i]
+        u, v = sorted(
+            (x for x in g.neighbors(w) if pos[x] < i), key=lambda x: pos[x]
+        )
+        extend_phi(phis, u, v, w, L[w])
     return ColoringFamily(tuple(dict(p) for p in phis), 3)
 
 

@@ -6,10 +6,23 @@ with one parse_int per number and one order comparison per line.
 `parse` must accept exactly the same documents and reject every other
 one at the same line.  `reference_parse_result` is the line-by-line
 result parser that `cli._parse_result` replaced, under the same rule.
+
+`reference_exact_request_probability` and
+`reference_derandomized_coloring` are the treedepth recursions that
+`_Recursion.expectation` replaced: a probability walk down to the asked
+vertex, and a two-pass derandomizer that values each root color with a
+separate expected-weight recursion and then recurses again on the best
+one.  Both must give exactly what the one-pass expectation gives.
+
+`reference_seed_edge` is the 2-tree seed search that
+`treewidth._seed_edge` replaced: it enumerates all 90 arrangements of
+three colors twice each, for u and then for v, and keeps the first
+admissible pair.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional
 
 from flexicolor.errors import FormatError, PreconditionError
@@ -17,6 +30,13 @@ from flexicolor.graph import Graph, KTreeOrder, TreedepthForest
 from flexicolor.cli import RESULT_HEADER
 from flexicolor.instances import FORMAT_HEADER, InstanceFile, format_fraction
 from flexicolor.listcolor import Request
+from flexicolor.treedepth import (
+    TdInstance,
+    _component_root,
+    _delete_and_trim,
+    _Recursion,
+    _unique_prefs,
+)
 
 
 def parse_int(tok: str, lineno: Optional[int], what: str) -> int:
@@ -271,3 +291,108 @@ def reference_parse_result(text: str) -> dict:
         if needed not in doc:
             raise FormatError(f"result misses {needed!r}")
     return doc
+
+
+def _probability(rec, comp: list, lists: dict, h: int, v: int, c: int) -> Fraction:
+    root = _component_root(comp, rec.depth, rec.anc)
+    choices = sorted(lists[root])
+    if len(choices) != h:
+        raise PreconditionError(
+            f"vertex {root} has list size {len(choices)} at a level "
+            f"needing {h}"
+        )
+    if v == root:
+        return Fraction(int(c in choices), h)
+    total = Fraction(0)
+    for rc in choices:
+        sub_lists = _delete_and_trim(lists, comp, root, rc, rec.prefs, h)
+        for sub in rec.components(comp, without=root):
+            if v in sub:
+                total += Fraction(1, h) * _probability(
+                    rec, sub, sub_lists, h - 1, v, c
+                )
+                break
+    return total
+
+
+def _expected_weight(rec, comp: list, lists: dict, h: int, weights: dict) -> Fraction:
+    root = _component_root(comp, rec.depth, rec.anc)
+    total = Fraction(0)
+    for rc in sorted(lists[root]):
+        value = Fraction(0)
+        if rec.prefs.get(root) == rc:
+            value += weights[root]
+        if len(comp) > 1:
+            sub_lists = _delete_and_trim(lists, comp, root, rc, rec.prefs, h)
+            for sub in rec.components(comp, without=root):
+                value += _expected_weight(rec, sub, sub_lists, h - 1, weights)
+        total += Fraction(1, h) * value
+    return total
+
+
+def _derandomize(rec, comp: list, lists: dict, h: int, weights: dict) -> dict:
+    root = _component_root(comp, rec.depth, rec.anc)
+    best_c = None
+    best_val = None
+    for rc in sorted(lists[root]):
+        value = Fraction(0)
+        if rec.prefs.get(root) == rc:
+            value += weights[root]
+        if len(comp) > 1:
+            sub_lists = _delete_and_trim(lists, comp, root, rc, rec.prefs, h)
+            for sub in rec.components(comp, without=root):
+                value += _expected_weight(rec, sub, sub_lists, h - 1, weights)
+        if best_val is None or value > best_val:
+            best_c, best_val = rc, value
+    out = {root: best_c}
+    if len(comp) > 1:
+        sub_lists = _delete_and_trim(lists, comp, root, best_c, rec.prefs, h)
+        for sub in rec.components(comp, without=root):
+            out.update(_derandomize(rec, sub, sub_lists, h - 1, weights))
+    return out
+
+
+def reference_exact_request_probability(
+    inst: TdInstance, v: int, c: int, request: Optional[Request] = None
+) -> Fraction:
+    prefs = _unique_prefs(request)
+    rec = _Recursion(inst, prefs)
+    for comp in rec.components(list(range(inst.g.n))):
+        if v in comp:
+            return _probability(rec, comp, rec.lists0, rec.k, v, c)
+    raise AssertionError(f"vertex {v} missing from every component")
+
+
+def reference_derandomized_coloring(inst: TdInstance, request: Request) -> tuple:
+    """(coloring, expectation) of the two-pass derandomizer."""
+    prefs = _unique_prefs(request)
+    weights = {v: Fraction(request.weights[v]) for v in prefs}
+    rec = _Recursion(inst, prefs)
+    out = {}
+    expectation = Fraction(0)
+    for comp in rec.components(list(range(inst.g.n))):
+        expectation += _expected_weight(rec, comp, rec.lists0, rec.k, weights)
+        out.update(_derandomize(rec, comp, rec.lists0, rec.k, weights))
+    return out, expectation
+
+
+# all ways to place three colors twice each over six positions, as
+# color-index patterns in lexicographic order
+_PATTERNS: tuple = tuple(sorted(set(permutations((0, 0, 1, 1, 2, 2)))))
+
+
+def reference_seed_edge(u: int, v: int, Lu, Lv) -> Optional[list]:
+    """Lexicographically smallest admissible six-coloring of one edge,
+    or None if there is none."""
+    cu = sorted(Lu)
+    cv = sorted(Lv)
+    for pat_u in _PATTERNS:
+        us = tuple(cu[i] for i in pat_u)
+        for pat_v in _PATTERNS:
+            vs = tuple(cv[i] for i in pat_v)
+            if any(a == b for a, b in zip(us, vs)):
+                continue
+            if len(set(zip(us, vs))) != 6:
+                continue
+            return [{u: a, v: b} for a, b in zip(us, vs)]
+    return None

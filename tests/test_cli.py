@@ -194,6 +194,52 @@ class TestMalformedInput:
         err = self.error_line(capsys, argv)
         assert err.startswith("error ") and "--lam" in err
 
+    def test_lam_size_mismatch_skips_partition_search(self, capsys, tmp_path):
+        # every list holds 3 colors; parts summing to 6 can never fit, and
+        # the palette backtracking must not start
+        inst, _ = self.solved(capsys, tmp_path)
+        searched = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (
+                event == "call"
+                and code.co_filename == cli.__file__
+                and code.co_qualname.startswith("_infer_classes.<locals>.")
+                and code.co_name in ("rec", "counts_ok")
+            ):
+                searched.append(code.co_name)
+
+        def search_calls(lam):
+            searched.clear()
+            sys.setprofile(profile)
+            try:
+                code, _, err = run(
+                    ["solve", inst, "--method", "lambda", "--lam", lam], capsys
+                )
+            finally:
+                sys.setprofile(None)
+            return code, err, len(searched)
+
+        code, err, calls = search_calls("1,1,1,1,1,1")
+        assert code == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith("error precondition lists admit no color-class")
+        assert calls == 0
+        # the sizes match here, so the search runs and the count sees it
+        assert search_calls("1,2")[2] > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "ktree", "--k", "0", "--n", "3"],
+            ["generate", "ktree", "--k", "-1", "--n", "3"],
+            ["generate", "treedepth", "--n", "0"],
+        ],
+    )
+    def test_degenerate_generator_sizes(self, capsys, argv):
+        err = self.error_line(capsys, argv)
+        assert err.startswith("error precondition")
+
     @pytest.mark.parametrize(
         "old,new",
         [

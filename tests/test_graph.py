@@ -1,9 +1,11 @@
 import random
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from flexicolor import graph as graph_module
 from flexicolor.errors import DisconnectedGraphError, PreconditionError
 from flexicolor.graph import (
     BrooksObstructionError,
@@ -213,6 +215,33 @@ class TestProperColoring:
         for u, v in g.edges:
             assert col[u] != col[v]
         assert color_count(col) <= max(g.max_degree(), 3)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(5, 18), st.data())
+    def test_brooks_covers_two_connected_regular_circulants(self, n, data):
+        # C_n(S) with 1 in S is connected and vertex-transitive, hence
+        # regular and 2-connected; a second jump makes the degree >= 3
+        jumps = {1} | data.draw(
+            st.sets(st.integers(2, n // 2), min_size=1), label="jumps"
+        )
+        g = Graph(n, sorted({
+            (min(i, (i + s) % n), max(i, (i + s) % n))
+            for i in range(n) for s in jumps
+        }))
+        assume(not g.is_complete())
+        delta = g.max_degree()
+        assert delta >= 3 and all(g.degree(v) == delta for v in range(n))
+        assert not block_cut_tree(g).cut_vertices
+        with mock.patch.object(
+            graph_module,
+            "_brooks_two_connected",
+            wraps=graph_module._brooks_two_connected,
+        ) as two_connected:
+            col = proper_coloring(g, 1, "brooks")
+        assert two_connected.call_count == 1
+        for u, v in g.edges:
+            assert col[u] != col[v]
+        assert color_count(col) <= delta
 
     def test_brooks_on_complete_raises(self):
         g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])

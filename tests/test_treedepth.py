@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexicolor.errors import PreconditionError
 from flexicolor.graph import Graph, TreedepthForest
@@ -9,9 +10,14 @@ from flexicolor.instances import random_treedepth
 from flexicolor.listcolor import Request, check_coloring, reduce_to_unique, satisfied_amount
 from flexicolor.treedepth import (
     TdInstance,
+    _Recursion,
     derandomized_coloring,
     exact_request_probability,
     sample_coloring,
+)
+from reference import (
+    reference_derandomized_coloring,
+    reference_exact_request_probability,
 )
 
 
@@ -113,3 +119,36 @@ class TestDerandomized:
         inst = path_instance()
         with pytest.raises(PreconditionError):
             derandomized_coloring(inst, Request("unweighted", prefs={0: 1}))
+
+
+class TestOnePassMatchesReference:
+    """The one exact-expectation pass gives the colorings, expectations
+    and probabilities of the separate recursions it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.sampled_from(["unique", "weighted"]),
+    )
+    def test_identical_to_reference(self, seed, n, height, kind):
+        ti = random_treedepth(seed, n, height, request_kind=kind)
+        inst = TdInstance(ti.g, ti.forest, ti.L)
+        unique = ti.request
+        if kind == "weighted":
+            unique = reduce_to_unique(ti.request, ti.L)
+        for v in range(ti.g.n):
+            for c in sorted(ti.L[v]):
+                assert exact_request_probability(
+                    inst, v, c, unique
+                ) == reference_exact_request_probability(inst, v, c, unique)
+        coloring, expectation = reference_derandomized_coloring(inst, unique)
+        assert derandomized_coloring(inst, unique) == coloring
+        prefs = dict(unique.prefs)
+        gain = {(v, c): Fraction(unique.weights[v]) for v, c in prefs.items()}
+        rec = _Recursion(inst, prefs)
+        assert expectation == sum(
+            rec.expectation(comp, rec.lists0, rec.k, gain)[0]
+            for comp in rec.components(list(range(ti.g.n)))
+        )

@@ -10,6 +10,7 @@ from flexicolor.graph import Graph
 from flexicolor.instances import fig_3tree, random_ktree
 from flexicolor.listcolor import Request, satisfied_amount
 from flexicolor.treewidth import (
+    _seed_edge,
     best_of_family,
     build_SA,
     check_admissible_everywhere,
@@ -20,6 +21,7 @@ from flexicolor.treewidth import (
     tree_pair_family,
     two_tree_family,
 )
+from reference import reference_seed_edge
 
 
 class TestTreePairFamily:
@@ -70,6 +72,18 @@ class TestSixColoringFamily:
             {0: 3, 1: 3},
         ]
         assert not is_admissible(phis, 0, 1, {1, 2, 3}, {1, 2, 3})
+
+    def test_seed_edge_matches_pattern_search(self):
+        # every ordered pair of 3-subsets of {1..7}: 35 * 35 = 1225 edges
+        subsets = [set(c) for c in combinations(range(1, 8), 3)]
+        checked = 0
+        for Lu in subsets:
+            for Lv in subsets:
+                seed = _seed_edge(0, 1, Lu, Lv)
+                assert seed == reference_seed_edge(0, 1, Lu, Lv), (Lu, Lv)
+                assert is_admissible(seed, 0, 1, Lu, Lv)
+                checked += 1
+        assert checked == 1225
 
     def test_two_tree_family_small(self):
         inst = random_ktree(0, 12, 2, list_size=3)
