@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Container, Iterable, Optional
 
 from .errors import (
@@ -79,9 +80,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -344,7 +342,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 
 
 # ---------------------------------------------------------------------------
-# Proper colorings (greedy and Brooks)
+# Proper colorings: greedy, degree-choosable lists, Brooks
 
 
 class BrooksObstructionError(PreconditionError):
@@ -355,29 +353,102 @@ class BrooksObstructionError(PreconditionError):
         super().__init__(f"Brooks coloring impossible: graph is a {kind}")
 
 
-def _greedy_coloring(g: Graph, order: Iterable[int]) -> dict[int, int]:
-    color: dict[int, int] = {}
-    for v in order:
-        used = {color[u] for u in g.neighbors(v) if u in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    return color
-
-
 def _decreasing_distance_order(g: Graph, root: int) -> list[int]:
     dist = g.bfs_distances(root)
     return sorted(range(g.n), key=lambda v: (-dist[v], v))
 
 
-def _brooks_coloring(g: Graph) -> dict[int, int]:
-    """Proper coloring with at most max_degree colors.
+def _list_greedy(g: Graph, lists, order: Iterable[int], color: dict) -> dict:
+    """Extend `color` over `order`: each vertex takes the first color of
+    its ascending list that no colored neighbor has.  The constructions
+    below order the vertices so that one is always left."""
+    for v in order:
+        used = {color[u] for u in g.neighbors(v) if u in color}
+        c = next(filterfalse(used.__contains__, lists[v]), None)
+        if c is None:
+            raise InternalInvariantError(f"greedy ran out of colors at vertex {v}")
+        color[v] = c
+    return color
 
-    Standard constructive cases: non-regular (greedy from a low-degree
-    root), cut vertex (color pieces and permute to agree), and the
-    2-connected case via two non-adjacent neighbors colored alike.
+
+def _slack_greedy(g: Graph, lists) -> Optional[dict]:
+    """Greedy in decreasing distance from the first vertex whose list is
+    longer than its degree, or None when every list is tight.  Every
+    other vertex has a nearer neighbor, colored after it, so it keeps a
+    free color; the root has more colors than neighbors."""
+    root = next((v for v in range(g.n) if len(lists[v]) > g.degree(v)), None)
+    if root is None:
+        return None
+    return _list_greedy(g, lists, _decreasing_distance_order(g, root), {})
+
+
+def _greedy_after(g: Graph, lists, color: dict, root: int) -> Optional[dict]:
+    """Extend `color` greedily over the uncolored vertices in decreasing
+    distance from root among them, or None when they are disconnected."""
+    rest, ids = g.induced(v for v in range(g.n) if v not in color)
+    if not rest.is_connected():
+        return None
+    order = [ids[i] for i in _decreasing_distance_order(rest, ids.index(root))]
+    return _list_greedy(g, lists, order, color)
+
+
+def _color_block(b: Graph, lists: list) -> dict:
+    """Coloring of a 2-connected graph, neither a clique nor an odd
+    cycle, from ascending lists with len(lists[x]) >= deg(x)."""
+    color = _slack_greedy(b, lists)
+    if color is not None:
+        return color
+    sets = list(map(set, lists))
+    for u in range(b.n):
+        for v in b.neighbors(u):
+            if sets[u] - sets[v]:
+                # b - u is connected and v keeps deg(v) colors with one
+                # neighbor fewer: v is a slack root there
+                return _greedy_after(b, lists, {u: min(sets[u] - sets[v])}, v)
+    # adjacent lists are equal, so all are, and b is regular
+    palette = lists[0]
+    if len(palette) == 2:  # an even cycle
+        dist = b.bfs_distances(0)
+        return {x: palette[dist[x] % 2] for x in range(b.n)}
+    return {x: palette[i] for x, i in _brooks_two_connected(b, len(palette)).items()}
+
+
+def choosable_coloring(g: Graph, lists) -> Optional[dict]:
+    """Proper coloring of a connected graph from ascending lists with
+    len(lists[v]) >= deg(v), built as the degree-choosability proof
+    builds it (Borodin 1977; Erdős, Rubin and Taylor 1979), with no
+    search.  Each vertex takes the first free color of its list.
+
+    With a slack vertex, greedy from it.  Otherwise the vertices off the
+    first block B that is neither a clique nor an odd cycle are colored
+    greedily towards B, which leaves each vertex x of B at least
+    deg_B(x) colors, and B is colored by `_color_block`.  None when
+    every list is tight and every block is a clique or an odd cycle (a
+    tight Gallai tree), the one case that may have no coloring.
     """
+    color = _slack_greedy(g, lists)
+    if color is not None:
+        return color
+    blk = next((b for b in block_cut_tree(g).blocks if b.tag == "other"), None)
+    if blk is None:
+        return None
+    inside = set(blk.vertices)
+    order = _decreasing_distance_order(g, blk.vertices[0])
+    color = _list_greedy(g, lists, [v for v in order if v not in inside], {})
+    b, ids = (g, range(g.n)) if len(inside) == g.n else g.induced(inside)
+    left = []
+    for v in ids:
+        taken = {color[u] for u in g.neighbors(v) if u in color}
+        left.append([c for c in lists[v] if c not in taken])
+    for x, c in _color_block(b, left).items():
+        color[ids[x]] = c
+    return color
+
+
+def _brooks_coloring(g: Graph) -> dict[int, int]:
+    """Proper coloring with at most max_degree colors: the
+    degree-choosable construction with every list range(max_degree),
+    after the parity coloring of paths and even cycles."""
     g.require_connected()
     delta = g.max_degree()
     if g.is_complete():
@@ -388,42 +459,16 @@ def _brooks_coloring(g: Graph) -> dict[int, int]:
         # path or even cycle: 2-color by BFS parity
         dist = g.bfs_distances(0)
         return {v: dist[v] % 2 for v in range(g.n)}
-    degs = [g.degree(v) for v in range(g.n)]
-    if min(degs) < delta:
-        root = min(v for v in range(g.n) if degs[v] < delta)
-        return _greedy_coloring(g, _decreasing_distance_order(g, root))
-
-    bct = block_cut_tree(g)
-    if bct.cut_vertices:
-        return _brooks_with_cut_vertex(g, delta, next(iter(sorted(bct.cut_vertices))))
-    return _brooks_two_connected(g, delta)
-
-
-def _brooks_with_cut_vertex(g: Graph, delta: int, x: int) -> dict[int, int]:
-    rest, _ = g.induced([v for v in range(g.n) if v != x])
-    ids = [v for v in range(g.n) if v != x]
-    color: dict[int, int] = {}
-    x_color: Optional[int] = None
-    for comp in rest.components():
-        piece_vs = [ids[i] for i in comp] + [x]
-        sub, sub_ids = g.induced(piece_vs)
-        # x has degree < delta inside the piece, so greedy from x works
-        sub_x = sub_ids.index(x)
-        piece = _greedy_coloring(sub, _decreasing_distance_order(sub, sub_x))
-        if x_color is None:
-            x_color = piece[sub_x]
-        elif piece[sub_x] != x_color:
-            a, b = piece[sub_x], x_color
-            piece = {v: (b if c == a else a if c == b else c) for v, c in piece.items()}
-        for i, c in piece.items():
-            color[sub_ids[i]] = c
-    if max(color.values()) >= delta:
-        raise InternalInvariantError("cut-vertex Brooks case used too many colors")
+    color = choosable_coloring(g, [range(delta)] * g.n)
+    if color is None:
+        # a regular Gallai tree is a single clique or odd cycle
+        raise InternalInvariantError("Brooks coloring met a tight Gallai tree")
     return color
 
 
 def _brooks_two_connected(g: Graph, delta: int) -> dict[int, int]:
-    # find a with non-adjacent neighbors b, c whose removal keeps g connected
+    # find a with non-adjacent neighbors b, c whose removal keeps g
+    # connected; colored alike, they leave a a free color
     for a in range(g.n):
         nbrs = g.neighbors(a)
         for i in range(len(nbrs)):
@@ -431,23 +476,9 @@ def _brooks_two_connected(g: Graph, delta: int) -> dict[int, int]:
                 b, c = nbrs[i], nbrs[j]
                 if g.has_edge(b, c):
                     continue
-                rest, ids = g.induced([v for v in range(g.n) if v not in (b, c)])
-                if not rest.is_connected():
-                    continue
-                rest_a = ids.index(a)
-                order = [ids[i] for i in _decreasing_distance_order(rest, rest_a)]
-                color = {b: 0, c: 0}
-                for v in order:
-                    used = {color[u] for u in g.neighbors(v) if u in color}
-                    col = 0
-                    while col in used:
-                        col += 1
-                    color[v] = col
-                if max(color.values()) < delta:
+                color = _greedy_after(g, [range(delta)] * g.n, {b: 0, c: 0}, a)
+                if color is not None:
                     return color
-                raise InternalInvariantError(
-                    "two-connected Brooks case used too many colors"
-                )
     # Lovasz: every 2-connected Delta-regular non-complete graph with
     # Delta >= 3 has such a triple
     raise InternalInvariantError(
@@ -468,7 +499,7 @@ def proper_coloring(g: Graph, power: int, mode: str) -> dict[int, int]:
         raise PreconditionError(f"unknown coloring mode {mode!r}")
     h = g.power(power)
     if mode == "greedy":
-        return _greedy_coloring(h, range(h.n))
+        return _list_greedy(h, [range(h.max_degree() + 1)] * h.n, range(h.n), {})
     h.require_connected()
     coloring = _brooks_coloring(h)
     for u, v in h.edges:

@@ -1,5 +1,7 @@
 """List assignments, color requests, satisfaction accounting, and the
-degree-choosable coloring engine shared by all solvers.
+degree-choosable coloring shared by all solvers: constructed as the
+degree-choosability proof builds it, with only bad components searched,
+by the oracle's frontier sweep.
 
 A list assignment is a plain dict mapping each vertex to a set of
 non-negative integer colors; a coloring is a dict vertex -> color.
@@ -11,10 +13,11 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 from operator import attrgetter, eq, floordiv, itemgetter, mul
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import BudgetExceededError, PreconditionError
-from .graph import Graph, block_cut_tree
+from .graph import Graph, choosable_coloring
+from .oracle import _sweep
 
 ListAssignment = dict
 
@@ -196,44 +199,17 @@ class Infeasible:
     reason: str
 
 
-def _is_bad_instance(g: Graph, L: dict) -> bool:
-    if any(len(L[v]) > g.degree(v) for v in range(g.n)):
-        return False
-    return block_cut_tree(g).all_blocks_clique_or_odd_cycle()
-
-
-def _backtrack_coloring(g: Graph, L: dict) -> Optional[dict]:
-    """Complete search with fail-first ordering; None iff uncolorable."""
-    order = sorted(range(g.n), key=lambda v: (len(L[v]), v))
-    color: dict = {}
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        used = {color[u] for u in g.neighbors(v) if u in color}
-        for c in sorted(L[v]):
-            if c not in used:
-                color[v] = c
-                if rec(i + 1):
-                    return True
-                del color[v]
-        return False
-
-    return dict(color) if rec(0) else None
-
-
 def degree_choosable_coloring(
     g: Graph, L: dict, component_cap: int = 20
 ) -> Union[dict, Infeasible]:
     """Proper on-list coloring of a connected graph with |L(v)| >= deg(v).
 
-    Fast path: when some vertex has list slack, greedy coloring in order
-    of decreasing distance from it always succeeds.  With all lists
-    tight but some block neither a clique nor an odd cycle, a coloring
-    still exists; complete backtracking finds it.  Otherwise the
-    instance is a bad component and exhaustive search decides it.
-    g and L must pass InstanceFile(g, L).validate().
+    The coloring is constructed as the degree-choosability proof builds
+    it (graph.choosable_coloring).  Only a bad component (all lists
+    tight, every block a clique or an odd cycle) may have none; it is
+    searched by the oracle's frontier sweep, which returns the
+    lexicographically first coloring in smallest-list-first order, or
+    Infeasible.  g and L must pass InstanceFile(g, L).validate().
     """
     g.require_connected()
     for v in range(g.n):
@@ -241,36 +217,16 @@ def degree_choosable_coloring(
             raise PreconditionError(
                 f"vertex {v} has list size {len(L[v])} below degree {g.degree(v)}"
             )
-    slack = [v for v in range(g.n) if len(L[v]) > g.degree(v)]
-    if slack:
-        root = slack[0]
-        dist = g.bfs_distances(root)
-        order = sorted(range(g.n), key=lambda v: (-dist[v], v))
-        color: dict = {}
-        for v in order:
-            used = {color[u] for u in g.neighbors(v) if u in color}
-            avail = sorted(c for c in L[v] if c not in used)
-            if not avail:
-                raise PreconditionError(
-                    f"greedy ran out of colors at vertex {v}; "
-                    "input violated the slack contract"
-                )
-            color[v] = avail[0]
+    color = choosable_coloring(g, [sorted(L[v]) for v in range(g.n)])
+    if color is not None:
         return color
-
-    bad = _is_bad_instance(g, L)
-    if bad and g.n > component_cap:
+    if g.n > component_cap:
         raise BudgetExceededError(
             f"bad component on {g.n} vertices exceeds cap {component_cap}"
         )
-    found = _backtrack_coloring(g, L)
+    found = _sweep(g, L, {})[2]
     if found is not None:
         return found
-    if not bad:
-        raise PreconditionError(
-            "no coloring found although some block is neither a clique "
-            "nor an odd cycle; input lists are inconsistent"
-        )
     return Infeasible(
         component=tuple(range(g.n)),
         reason="all lists tight and every block a clique or odd cycle; "

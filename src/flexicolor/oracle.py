@@ -9,11 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import BudgetExceededError, PreconditionError
 from .graph import Graph
-from .listcolor import Request
+
+if TYPE_CHECKING:
+    from .listcolor import Request
 
 DEFAULT_BUDGET = 10**7
 

@@ -18,6 +18,12 @@ one.  Both must give exactly what the one-pass expectation gives.
 `treewidth._seed_edge` replaced: it enumerates all 90 arrangements of
 three colors twice each, for u and then for v, and keeps the first
 admissible pair.
+
+`reference_backtrack_coloring` is the recursive search that
+`listcolor.degree_choosable_coloring` ran on every component with all
+lists tight.  A bad component (every block a clique or an odd cycle) is
+now searched by the oracle's frontier sweep, which must return exactly
+its coloring, or Infeasible where it finds none.
 """
 from __future__ import annotations
 
@@ -396,3 +402,24 @@ def reference_seed_edge(u: int, v: int, Lu, Lv) -> Optional[list]:
                 continue
             return [{u: a, v: b} for a, b in zip(us, vs)]
     return None
+
+
+def reference_backtrack_coloring(g: Graph, L: dict) -> Optional[dict]:
+    """Complete search with fail-first ordering; None iff uncolorable."""
+    order = sorted(range(g.n), key=lambda v: (len(L[v]), v))
+    color: dict = {}
+
+    def rec(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        used = {color[u] for u in g.neighbors(v) if u in color}
+        for c in sorted(L[v]):
+            if c not in used:
+                color[v] = c
+                if rec(i + 1):
+                    return True
+                del color[v]
+        return False
+
+    return dict(color) if rec(0) else None

@@ -16,6 +16,7 @@ from flexicolor.cli import _parse_result, main
 from flexicolor.errors import FormatError
 from flexicolor.graph import TreedepthForest
 from flexicolor.instances import (
+    InstanceFile,
     fig_3tree,
     fig_diamond,
     random_bounded_degree,
@@ -27,6 +28,7 @@ from flexicolor.instances import (
 )
 from flexicolor.listcolor import Request
 from reference import reference_parse_result
+from test_listcolor import prism
 
 
 def run(argv, capsys):
@@ -111,6 +113,22 @@ class TestSolveAndVerify:
         assert code == 2
         assert "differs" in err
 
+    def test_maxdeg_on_a_large_prism(self, capsys, tmp_path):
+        # fixing the requested vertex leaves one component on 2399
+        # vertices with every list tight; a recursive search overflowed
+        # the stack here
+        n = 2400
+        inst = InstanceFile(
+            prism(n), {v: {1, 2, 3} for v in range(n)},
+            Request("unweighted", prefs={0: 1}),
+        )
+        path = self.write(tmp_path, inst)
+        res = str(tmp_path / "r.txt")
+        code, _, err = run(["solve", path, "--method", "maxdeg", "--out", res], capsys)
+        assert code == 0, err
+        code, out, _ = run(["verify", path, res], capsys)
+        assert code == 0 and out == "verified satisfied=1 bound-met=yes\n"
+
     def test_purity_same_bytes(self, capsys, tmp_path):
         path = self.write(tmp_path, two_cliques_matching(3))
         a = str(tmp_path / "a.txt")
@@ -186,6 +204,37 @@ class TestMalformedInput:
         res.write_text("\n".join(lines) + "\n")
         err = self.error_line(capsys, ["verify", str(inst), str(res)])
         assert err.startswith("error precondition") and f"vertex {stray} " in err
+
+    def test_first_vertex_with_an_earlier_neighbor(self, capsys, tmp_path):
+        inst = tmp_path / "inst.fi"
+        inst.write_text(serialize(random_three_connected(5, 14)))
+        res = tmp_path / "r.txt"
+        argv = ["solve", str(inst), "--method", "degeneracy", "--out", str(res)]
+        assert run(argv, capsys)[0] == 0
+        lines = res.read_text().splitlines()
+        last = next(ln for ln in lines if ln.startswith("order ")).split()[-1]
+        lines = [ln + f" {last}" if ln.startswith("first ") else ln for ln in lines]
+        res.write_text("\n".join(lines) + "\n")
+        err = self.error_line(capsys, ["verify", str(inst), str(res)])
+        assert err.startswith("error precondition")
+        assert f"vertex {last} is marked first" in err
+
+    @pytest.mark.parametrize(
+        "argv,damaged",
+        [
+            (["solve", "{inst}", "--method", "two-tree"], "inst"),
+            (["oracle", "{inst}"], "inst"),
+            (["verify", "{inst}", "{res}"], "inst"),
+            (["verify", "{inst}", "{res}"], "res"),
+        ],
+    )
+    def test_non_utf8_document(self, capsys, tmp_path, argv, damaged):
+        inst, res = self.solved(capsys, tmp_path)
+        doc = Path(inst) if damaged == "inst" else res
+        doc.write_bytes(doc.read_bytes().replace(b"\n", b"\n\xff\n", 1))
+        argv = [a.format(inst=inst, res=res) for a in argv]
+        err = self.error_line(capsys, argv)
+        assert err.startswith("error format") and "UTF-8" in err
 
     @pytest.mark.parametrize("lam", ["x,1", "0,1", "1,,2", "-1,2"])
     def test_bad_lam(self, capsys, tmp_path, lam):

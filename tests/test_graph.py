@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -39,6 +40,42 @@ def random_sparse(rng, n, density):
 
 def circulant(n, offsets):
     return Graph(n, sorted({tuple(sorted((v, (v + k) % n))) for v in range(n) for k in offsets}))
+
+
+def brooks_chain(delta, pieces, perm=None):
+    """A delta-regular graph with cut vertices, delta 3 or 4: a chain of
+    copies of K_{delta+1}, each giving up one edge (a port) per link.
+    For delta 3 a port edge is subdivided and a link is a bridge between
+    the subdivision vertices; for delta 4 a port edge is removed and a
+    link is a new vertex joined to the four ends of two ports.  Vertex v
+    is relabeled perm[v]."""
+    n, edges, prev = 0, [], None
+    for i in range(pieces):
+        k = range(n, n + delta + 1)
+        n += delta + 1
+        ports = {"left": (k[0], k[1]), "right": (k[2], k[3])}
+        if i == 0:
+            del ports["left"]
+        if i == pieces - 1:
+            del ports["right"]
+        edges += [e for e in combinations(k, 2) if e not in ports.values()]
+        ends = {}
+        for side, (a, b) in ports.items():
+            if delta == 3:
+                edges += [(a, n), (b, n)]
+                ends[side] = [n]
+                n += 1
+            else:
+                ends[side] = [a, b]
+        if prev is not None:
+            if delta == 3:
+                edges.append((prev[0], ends["left"][0]))
+            else:
+                edges += [(v, n) for v in prev + ends["left"]]
+                n += 1
+        prev = ends.get("right")
+    perm = perm or list(range(n))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def tag_from_induced(g, vertices):
@@ -243,6 +280,25 @@ class TestProperColoring:
             assert col[u] != col[v]
         assert color_count(col) <= delta
 
+    @pytest.mark.parametrize("delta,n,cuts", [(3, 10, {4, 9}), (4, 11, {10})])
+    def test_brooks_with_a_cut_vertex(self, delta, n, cuts):
+        # delta 3: two K4 with one edge subdivided, the subdivision
+        # vertices joined by a bridge; delta 4: two K5 - ab with a vertex
+        # joined to a, b, a' and b'
+        g = brooks_chain(delta, 2)
+        assert g.n == n and block_cut_tree(g).cut_vertices == cuts
+        assert_brooks_regular(g, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([3, 4]), st.integers(2, 5), st.randoms(use_true_random=False)
+    )
+    def test_brooks_on_regular_chains(self, delta, pieces, rnd):
+        n = brooks_chain(delta, pieces).n
+        g = brooks_chain(delta, pieces, rnd.sample(range(n), n))
+        assert block_cut_tree(g).cut_vertices
+        assert_brooks_regular(g, delta)
+
     def test_brooks_on_complete_raises(self):
         g = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
         with pytest.raises(BrooksObstructionError):
@@ -252,6 +308,14 @@ class TestProperColoring:
         g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         col = proper_coloring(g, 1, "brooks")
         assert color_count(col) == 2
+
+
+def assert_brooks_regular(g, delta):
+    assert all(g.degree(v) == delta for v in range(g.n))
+    col = proper_coloring(g, 1, "brooks")
+    for u, v in g.edges:
+        assert col[u] != col[v]
+    assert color_count(col) <= delta
 
 
 class TestKTreeOrder:

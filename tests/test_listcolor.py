@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,61 @@ from flexicolor.listcolor import (
     satisfied_amount,
     validate_lists,
 )
-from flexicolor.oracle import is_degree_choosable_here
+from flexicolor.oracle import bruteforce_bad_component, is_degree_choosable_here
+from reference import reference_backtrack_coloring
+
+
+def cycle(k):
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+def clique(k):
+    return list(combinations(range(k), 2))
+
+
+# block shapes by tag, each on vertices 0..k-1; the "other" ones are
+# C4, C6, K4 - e and K33
+SHAPES = {
+    "clique": [clique(2), clique(3), clique(4)],
+    "odd-cycle": [cycle(5), cycle(7)],
+    "other": [cycle(4), cycle(6), clique(4)[1:],
+              [(a, b) for a in range(3) for b in range(3, 6)]],
+}
+
+
+def glued_blocks(rng, kinds, extra=0, n_max=9):
+    """A connected graph on at most n_max vertices glued from blocks of
+    the given kinds at cut vertices, plus `extra` random edges, with
+    tight lists: deg(v) colors each, from a palette of at most one more
+    color than the largest degree."""
+    n, edges = 1, set()
+    shapes = [shape for kind in kinds for shape in SHAPES[kind]]
+    while True:
+        shape = rng.choice(shapes)
+        size = 1 + max(map(max, shape))
+        if n + size - 1 > n_max:
+            break
+        ids = [rng.randrange(n), *range(n, n + size - 1)]
+        edges.update(tuple(sorted((ids[a], ids[b]))) for a, b in shape)
+        n += size - 1
+        if rng.random() < 0.3:
+            break
+    for _ in range(extra):
+        if n > 2:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    g = Graph(n, sorted(edges))
+    top = g.max_degree() + rng.randint(0, 1)
+    return g, {v: set(rng.sample(range(1, top + 1), g.degree(v))) for v in range(n)}
+
+
+def prism(n):
+    """The circular ladder on n vertices: two cycles of n/2 vertices
+    joined by a perfect matching; 3-regular and 2-connected."""
+    k = n // 2
+    return Graph(n, sorted(
+        tuple(sorted(e)) for i in range(k)
+        for e in ((i, (i + 1) % k), (k + i, k + (i + 1) % k), (i, k + i))
+    ))
 
 
 def all_small_graphs(n):
@@ -197,6 +252,20 @@ class TestDegreeChoosable:
             degree_choosable_coloring(g, L, component_cap=20)
 
     def test_agrees_with_oracle_on_sweep(self):
+        def agrees(g, L):
+            try:
+                validate_lists(g, L)
+                out = degree_choosable_coloring(g, L)
+            except PreconditionError:
+                return False
+            truth = is_degree_choosable_here(g, L, budget=10**9)
+            if isinstance(out, Infeasible):
+                assert not truth
+            else:
+                check_coloring(g, L, out)
+                assert truth
+            return True
+
         # all connected graphs n <= 5, a few random tight list choices
         rng = random.Random(3)
         checked = 0
@@ -209,19 +278,42 @@ class TestDegreeChoosable:
                         )
                         for v in range(n)
                     }
-                    try:
-                        validate_lists(g, L)
-                        out = degree_choosable_coloring(g, L)
-                    except PreconditionError:
-                        continue
-                    truth = is_degree_choosable_here(g, L)
-                    if isinstance(out, Infeasible):
-                        assert not truth
-                    else:
-                        check_coloring(g, L, out)
-                        assert truth
-                    checked += 1
+                    checked += agrees(g, L)
         assert checked > 100
+        # tight lists on glued blocks with a few chords, n <= 9
+        for _ in range(400):
+            kinds = ("clique", "odd-cycle", "other")
+            assert agrees(*glued_blocks(rng, kinds, extra=rng.randint(0, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_bad_components_get_the_backtracking_coloring(self, seed):
+        g, L = glued_blocks(random.Random(seed), ("clique", "odd-cycle"))
+        assert bruteforce_bad_component(g, L)
+        out = degree_choosable_coloring(g, L)
+        expected = reference_backtrack_coloring(g, L)
+        if expected is None:
+            assert isinstance(out, Infeasible)
+        else:
+            assert out == expected
+
+    def test_tight_prism_components_scale_linearly(self):
+        def best_of_three(n):
+            g = prism(n)
+            L = {v: {1, 2, 3} for v in range(n)}
+            best = float("inf")
+            for _ in range(3):
+                start = time.process_time()
+                precolor_and_extend(g, L, {0: 1})
+                best = min(best, time.process_time() - start)
+            return best
+
+        # fixing vertex 0 leaves one component with every list tight,
+        # colored by the construction; a search would blow up or recurse.
+        # The mean ratio over two doublings is about 2 for linear cost and
+        # 4 for quadratic; one doubling alone is within the host's noise.
+        small, large = best_of_three(2000), best_of_three(8000)
+        assert (large / small) ** 0.5 < 3, (small, large)
 
 
 class TestPrecolorAndExtend:

@@ -172,7 +172,7 @@ CLIQUES_PINNED = {
     (3, ((0, 1),)): (
         [((1, 2, 3, 4, 5), {1: {2, 3}, 2: {2, 3}, 3: {2, 3}, 4: {1, 2, 3}, 5: {1, 2, 3}},
           False, True, (((1, 2, 3, 4, 5), "other"),), ((1, 2, 3, 4, 5),))],
-        {0: 1, 1: 2, 2: 3, 3: 2, 4: 3, 5: 1},
+        {0: 1, 1: 3, 2: 2, 3: 2, 4: 1, 5: 3},
     ),
     (3, ((0, 1), (4, 2))): (
         [((1, 2, 3, 5), {1: {3}, 2: {2, 3}, 3: {3}, 5: {1, 3}}, True, True,
@@ -185,13 +185,13 @@ CLIQUES_PINNED = {
           {1: {2, 3, 4}, 2: {2, 3, 4}, 3: {2, 3, 4}, 4: {2, 3, 4},
            5: {1, 2, 3, 4}, 6: {1, 2, 3, 4}, 7: {1, 2, 3, 4}},
           False, True, (((1, 2, 3, 4, 5, 6, 7), "other"),), ((1, 2, 3, 4, 5, 6, 7),))],
-        {0: 1, 1: 2, 2: 3, 3: 4, 4: 2, 5: 1, 6: 4, 7: 3},
+        {0: 1, 1: 4, 2: 2, 3: 3, 4: 2, 5: 1, 6: 3, 7: 4},
     ),
     (4, ((0, 1), (5, 2))): (
         [((1, 2, 3, 4, 6, 7),
           {1: {3, 4}, 2: {2, 3, 4}, 3: {2, 3, 4}, 4: {3, 4}, 6: {1, 3, 4}, 7: {1, 3, 4}},
           False, True, (((1, 2, 3, 4, 6, 7), "other"),), ((1, 2, 3, 4, 6, 7),))],
-        {0: 1, 5: 2, 1: 3, 4: 3, 2: 2, 3: 4, 6: 4, 7: 1},
+        {0: 1, 5: 2, 1: 4, 2: 2, 3: 3, 4: 3, 6: 1, 7: 4},
     ),
     (5, ((0, 1),)): (
         [((1, 2, 3, 4, 5, 6, 7, 8, 9),
@@ -200,7 +200,7 @@ CLIQUES_PINNED = {
            8: {1, 2, 3, 4, 5}, 9: {1, 2, 3, 4, 5}},
           False, True, (((1, 2, 3, 4, 5, 6, 7, 8, 9), "other"),),
           ((1, 2, 3, 4, 5, 6, 7, 8, 9),))],
-        {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 2, 6: 1, 7: 4, 8: 5, 9: 3},
+        {0: 1, 1: 5, 2: 2, 3: 3, 4: 4, 5: 2, 6: 1, 7: 3, 8: 4, 9: 5},
     ),
     (5, ((0, 1), (6, 2))): (
         [((1, 2, 3, 4, 5, 7, 8, 9),
@@ -208,7 +208,7 @@ CLIQUES_PINNED = {
            5: {3, 4, 5}, 7: {1, 3, 4, 5}, 8: {1, 3, 4, 5}, 9: {1, 3, 4, 5}},
           False, True, (((1, 2, 3, 4, 5, 7, 8, 9), "other"),),
           ((1, 2, 3, 4, 5, 7, 8, 9),))],
-        {0: 1, 6: 2, 1: 3, 5: 3, 2: 2, 3: 4, 4: 5, 7: 1, 8: 5, 9: 4},
+        {0: 1, 6: 2, 1: 5, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1, 8: 4, 9: 5},
     ),
 }
 
@@ -225,6 +225,8 @@ class TestPinnedFixtureValues:
             (r.vertices, r.pruned_lists, r.bad, r.tight, r.block_tags, r.terminal_blocks)
             for r in got
         ] == reports
+        check_coloring(inst.g, inst.L, coloring)
+        assert all(coloring[v] == c for v, c in prefs.items())
         assert precolor_and_extend(inst.g, inst.L, prefs) == coloring
 
 

@@ -7,12 +7,14 @@ perfbench/workloads.py, runs solve, verify and oracle on every document
 through flexicolor.cli.main, and prints one line per document: its
 number, a sha256 over the result document, the verify output, the
 oracle document, the stderr of each of the three commands and their
-exit statuses, and its label.  The oracle runs on every document; on a
-large one it stops at its budget with exit status 3.  --root names the
-source checkout to import flexicolor and perfbench from (by default the
-one holding this script), so running it on two checkouts and diffing the
-outputs shows whether a change gives byte-identical answers and the
-same error lines.
+exit statuses, a second sha256 over the same with the result's `color`
+lines left out, and its label.  A change that only recolors shows in
+the first hash alone; one that changes a verdict or an amount shows in
+both.  The oracle runs on every document; on a large one it stops at
+its budget with exit status 3.  --root names the source checkout to
+import flexicolor and perfbench from (by default the one holding this
+script), so running it on two checkouts and diffing the outputs shows
+whether a change gives byte-identical answers and the same error lines.
 """
 from __future__ import annotations
 
@@ -35,8 +37,17 @@ def _read(path: str) -> bytes:
         return b""
 
 
+def _sha256(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.hexdigest()
+
+
 def digests(workload: str, seed: int, scratch: str):
-    """(label, sha256 hex) of every document of the pool, in pool order."""
+    """(label, sha256 hex, sha256 hex without color lines) of every
+    document of the pool, in pool order."""
     import workloads
     from flexicolor import cli
 
@@ -57,12 +68,13 @@ def digests(workload: str, seed: int, scratch: str):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 codes.append(cli.main(argv))
             errs.append(err.getvalue().encode())
-        h = hashlib.sha256()
-        for part in (_read(result), out.getvalue().encode(), _read(oracle),
-                     *errs, repr(tuple(codes)).encode()):
-            h.update(len(part).to_bytes(8, "big"))
-            h.update(part)
-        yield job.label, h.hexdigest()
+        doc = _read(result)
+        rest = [out.getvalue().encode(), _read(oracle), *errs,
+                repr(tuple(codes)).encode()]
+        uncolored = b"".join(
+            ln for ln in doc.splitlines(keepends=True) if not ln.startswith(b"color ")
+        )
+        yield job.label, _sha256([doc, *rest]), _sha256([uncolored, *rest])
 
 
 def main(argv=None) -> int:
@@ -74,8 +86,10 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     with tempfile.TemporaryDirectory() as scratch:
-        for i, (label, digest) in enumerate(digests(args.workload, args.seed, scratch)):
-            print(f"{i:05d} {digest} {label}")
+        for i, (label, full, uncolored) in enumerate(
+            digests(args.workload, args.seed, scratch)
+        ):
+            print(f"{i:05d} {full} {uncolored} {label}")
     return 0
 
 
