@@ -36,7 +36,7 @@ from .instances import (
     parse_ints,
     serialize,
 )
-from .listcolor import Request, reduce_to_unique, satisfied_amount
+from .listcolor import satisfied_amount
 from .maxdeg import solve_unweighted, solve_weighted
 from .oracle import DEFAULT_BUDGET, optimal_satisfaction
 from .treedepth import TdInstance, derandomized_coloring
@@ -184,17 +184,7 @@ def _solve(args) -> int:
             family = lambda_family(g, inst.ktree, lam, classes, L)
             coloring = best_of_family(g, L, family, request)
         else:  # treedepth
-            if request.kind == "unweighted":
-                unique = Request(
-                    "unique",
-                    prefs=dict(request.prefs),
-                    weights={v: Fraction(1) for v in request.prefs},
-                )
-            elif request.kind == "unique":
-                unique = request
-            else:
-                unique = reduce_to_unique(request, L)
-            coloring = derandomized_coloring(TdInstance(g, inst.forest, L), unique)
+            coloring = derandomized_coloring(TdInstance(g, inst.forest, L), request)
         # the one check of the coloring in solve
         satisfied = satisfied_amount(g, L, coloring, request)
         total = request.total()

@@ -163,26 +163,15 @@ def _check_terminal_counting(
             )
 
 
-def b_value(g: Graph, L: dict, Rpp: set, prefs: dict, r: int) -> int:
-    """Decrease in the number of bad components when r stops being
-    precolored."""
-    if r not in Rpp:
-        raise PreconditionError(f"vertex {r} is not in the precolored set")
-    c1 = sum(1 for rep in classify_components(g, L, Rpp, prefs) if rep.bad)
-    c2 = sum(
-        1 for rep in classify_components(g, L, Rpp - {r}, prefs) if rep.bad
-    )
-    return c1 - c2
-
-
 def _local_b_values(
     g: Graph, L: dict, Rpp: set, prefs: dict, reports: list
 ) -> dict:
     """b(r) for every r in the independent set Rpp, from the reports of
     g - Rpp: the bad components next to r, less one if the component r
     forms with them once it leaves Rpp is bad.  Every other component
-    keeps its vertices and pruned lists, so this equals b_value; the
-    merged component is classified only when it can be tight."""
+    keeps its vertices and pruned lists, so this equals the count found
+    by classifying the whole graph with and without r; the merged
+    component is classified only when it can be tight."""
     owner = {}
     slack = []  # per report, its vertices whose pruned list has room
     for i, rep in enumerate(reports):

@@ -1,25 +1,34 @@
-"""Recursive coloring distribution for graphs given with a shallow
-rooted forest, exact request probabilities under that distribution, and
-a derandomized solver.
+"""Derandomized list coloring of graphs given with a shallow rooted
+forest.
 
-The distribution colors the deepest available root uniformly, deletes
-its color downward, trims every untouched list by one entry (never a
-requested color), and recurses per component with one list slot less.
-One exact-expectation pass over that recursion gives both the
-derandomized coloring and the request probabilities: it values every
-root color by the exact conditional expectation of a gain and keeps
-the coloring of the best one.
+The paper's distribution colors the root of each component (its
+shallowest vertex) uniformly from its list, deletes that color
+downward, trims every untouched list by one entry (never a requested
+color), and recurses per component with one list slot less.  A request
+is alive while its color is still in its vertex's list.  An alive
+request in a component at level h is met with probability at least
+1/h: each ancestor at level j takes its color with probability at most
+1/j and the vertex itself with 1/h_v, and the product telescopes.  So
+
+    phi = (weight satisfied so far)
+          + sum over open components C of (alive weight in C) / (level of C)
+
+is a pessimistic estimator of the satisfied weight that starts at
+total/k (conditional expectations, Raghavan 1988).  The solver walks
+the components once and gives each root the color that keeps phi
+highest; the average over the root's h colors is the current phi or
+more, so phi never falls and the coloring satisfies total/k or more.
 """
 from __future__ import annotations
 
-import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import Graph, TreedepthForest
-from .listcolor import Request, check_coloring
+from .listcolor import Request, reduce_to_unique
 
 
 @dataclass(frozen=True)
@@ -42,16 +51,6 @@ class TdInstance:
                     f"vertex {v} has list size {len(self.L[v])}, "
                     f"needs {k} for forest height {k}"
                 )
-
-
-def _unique_prefs(request: Optional[Request]) -> dict:
-    if request is None:
-        return {}
-    if request.kind == "weighted":
-        raise PreconditionError(
-            "general weighted requests must go through reduce_to_unique first"
-        )
-    return dict(request.prefs)
 
 
 def _trimmed_lists(inst: TdInstance, prefs: dict) -> dict:
@@ -147,118 +146,67 @@ class _Recursion:
             comps.append(sorted(comp))
         return comps
 
-    def sample(self, comp: list, lists: dict, h: int, rng: random.Random) -> dict:
-        root = _component_root(comp, self.depth, self.anc)
-        if len(lists[root]) != h:
-            raise PreconditionError(
-                f"vertex {root} has list size {len(lists[root])} at a "
-                f"level needing {h}"
-            )
-        c = rng.choice(sorted(lists[root]))
-        out = {root: c}
-        if len(comp) == 1:
-            return out
-        sub_lists = _delete_and_trim(lists, comp, root, c, self.prefs, h)
-        for sub in self.components(comp, without=root):
-            out.update(self.sample(sub, sub_lists, h - 1, rng))
-        return out
 
-    def expectation(self, comp: list, lists: dict, h: int, gain: dict) -> tuple:
-        """Exact expected gain of the distribution on comp, and the
-        coloring that takes at each root the color of largest conditional
-        expectation, the smallest such color on ties.  gain maps
-        (vertex, color) to what coloring vertex with color earns."""
-        root = _component_root(comp, self.depth, self.anc)
+def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
+    """Deterministic coloring that satisfies total/height of the request
+    or more.  A general weighted request is first cut to one heaviest
+    color per vertex (reduce_to_unique), which keeps total/(max list
+    size) or more; unweighted requests weigh one each.
+
+    inst and request must pass InstanceFile(inst.g, inst.L, request,
+    forest=inst.forest).validate(); the caller checks the coloring.
+    """
+    if request.kind == "weighted":
+        request = reduce_to_unique(request, inst.L)
+    prefs = dict(request.prefs)
+    weights = {v: Fraction(request.weights.get(v, 1)) for v in prefs}
+    rec = _Recursion(inst, prefs)
+    out = {}
+    stack = [
+        (comp, rec.lists0, rec.k)
+        for comp in rec.components(list(range(inst.g.n)))
+    ]
+    while stack:
+        comp, lists, h = stack.pop()
+        root = _component_root(comp, rec.depth, rec.anc)
         choices = sorted(lists[root])
         if len(choices) != h:
             raise PreconditionError(
                 f"vertex {root} has list size {len(choices)} at a level "
                 f"needing {h}"
             )
-        total = Fraction(0)
-        best_value = best = None
-        for rc in choices:
-            value = gain.get((root, rc), 0)
-            coloring = {root: rc}
-            if len(comp) > 1:
-                sub_lists = _delete_and_trim(lists, comp, root, rc, self.prefs, h)
-                for sub in self.components(comp, without=root):
-                    sub_value, sub_coloring = self.expectation(
-                        sub, sub_lists, h - 1, gain
-                    )
-                    value += sub_value
-                    coloring.update(sub_coloring)
-            total += value
-            if best_value is None or value > best_value:
-                best_value, best = value, coloring
-        return total / h, best
-
-
-def sample_coloring(
-    inst: TdInstance, seed: int, request: Optional[Request] = None
-) -> dict:
-    """One coloring drawn from the recursive distribution.  inst and
-    request must pass InstanceFile(inst.g, inst.L, request,
-    forest=inst.forest).validate()."""
-    prefs = _unique_prefs(request)
-    rec = _Recursion(inst, prefs)
-    rng = random.Random(seed)
-    out = {}
-    for comp in rec.components(list(range(inst.g.n))):
-        out.update(rec.sample(comp, rec.lists0, rec.k, rng))
-    check_coloring(inst.g, inst.L, out)
-    return out
-
-
-def exact_request_probability(
-    inst: TdInstance, v: int, c: int, request: Optional[Request] = None
-) -> Fraction:
-    """Probability that the sampler uses color c at vertex v, exactly.
-    inst and request must pass InstanceFile(inst.g, inst.L, request,
-    forest=inst.forest).validate()."""
-    if c not in inst.L[v]:
-        raise PreconditionError(f"color {c} is not in the list of vertex {v}")
-    prefs = _unique_prefs(request)
-    rec = _Recursion(inst, prefs)
-    for comp in rec.components(list(range(inst.g.n))):
-        if v in comp:
-            return rec.expectation(comp, rec.lists0, rec.k, {(v, c): 1})[0]
-    raise InternalInvariantError(f"vertex {v} missing from every component")
-
-
-def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
-    """Deterministic coloring with satisfied weight at least the
-    distribution's expectation, hence at least total/height.
-
-    Chooses each root color by exact conditional expectation.  inst
-    and request must pass InstanceFile(inst.g, inst.L, request,
-    forest=inst.forest).validate(); the caller checks the coloring.
-    """
-    if request.kind != "unique":
-        raise PreconditionError(
-            "derandomization expects a uniquely weighted request"
-        )
-    prefs = _unique_prefs(request)
-    weights = {v: Fraction(request.weights[v]) for v in prefs}
-    gain = {(v, c): weights[v] for v, c in prefs.items()}
-    rec = _Recursion(inst, prefs)
-    out = {}
-    expectation = Fraction(0)
-    for comp in rec.components(list(range(inst.g.n))):
-        value, coloring = rec.expectation(comp, rec.lists0, rec.k, gain)
-        expectation += value
-        out.update(coloring)
+        alive = defaultdict(Fraction)  # alive weight below root, by color
+        for v in comp:
+            if v != root and v in prefs and prefs[v] in lists[v]:
+                alive[prefs[v]] += weights[v]
+        below = sum(alive.values(), Fraction(0))
+        own = prefs.get(root)
+        before = (below + (weights[root] if own in choices else 0)) / h
+        best = None
+        for c in choices:  # ascending, so ties keep the smallest color
+            value = weights[root] if c == own else Fraction(0)
+            if h > 1:
+                value += (below - alive[c]) / (h - 1)
+            if best is None or value > best:
+                best, color = value, c
+        if best < before:
+            raise InternalInvariantError(
+                f"estimator fell from {before} to {best} at root {root}"
+            )
+        out[root] = color
+        if len(comp) > 1:
+            sub_lists = _delete_and_trim(lists, comp, root, color, prefs, h)
+            for sub in rec.components(comp, without=root):
+                stack.append((sub, sub_lists, h - 1))
     satisfied = sum(
         (weights[v] for v in prefs if out[v] == prefs[v]), Fraction(0)
     )
-    if satisfied < expectation:
-        raise InternalInvariantError(
-            f"derandomized weight {satisfied} fell below the "
-            f"expectation {expectation}"
-        )
     total = sum(weights.values(), Fraction(0))
-    if prefs and inst.k and satisfied * inst.k < total:
+    # every request is alive in the trimmed lists, so the estimator
+    # starts at total/k: this is its end invariant and the paper's bound
+    if satisfied * rec.k < total:
         raise InternalInvariantError(
-            f"derandomized weight {satisfied} is below total/{inst.k}"
+            f"derandomized weight {satisfied} is below the estimator's "
+            f"start total/{rec.k}"
         )
     return out

