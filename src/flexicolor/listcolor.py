@@ -59,6 +59,16 @@ def exact_sum(weights: Iterable) -> Fraction:
     return Fraction(sum(map(mul, nums, map(floordiv, repeat(d), dens))), d)
 
 
+def _least_numerator(weights: Iterable):
+    """The least numerator of the weights, whose sign is the weight's for
+    rationals (1 if there are none); None if a weight has no numerator,
+    such as a float or a missing weight."""
+    try:
+        return min(map(attrgetter("numerator"), weights), default=1)
+    except AttributeError:
+        return None
+
+
 @dataclass(frozen=True)
 class Request:
     """A color request on a graph.
@@ -77,6 +87,9 @@ class Request:
         if self.kind not in ("unweighted", "unique", "weighted"):
             raise PreconditionError(f"unknown request kind {self.kind!r}")
         if self.kind == "unique":
+            least = _least_numerator(map(self.weights.get, self.prefs))
+            if least is not None and least > 0:
+                return
             for v in self.prefs:
                 w = self.weights.get(v)
                 if w is None or w <= 0:
@@ -102,6 +115,8 @@ class Request:
 
     def validate(self, g: Graph, L: dict) -> None:
         if self.kind == "weighted":
+            least = _least_numerator(self.table.values())
+            check_signs = least is None or least < 0
             for (v, c), w in self.table.items():
                 if not (0 <= v < g.n):
                     raise PreconditionError(f"request vertex {v} out of range")
@@ -109,7 +124,7 @@ class Request:
                     raise PreconditionError(
                         f"requested color {c} at vertex {v} is not in its list"
                     )
-                if w < 0:
+                if check_signs and w < 0:
                     raise PreconditionError(
                         f"negative weight at vertex {v}, color {c}"
                     )

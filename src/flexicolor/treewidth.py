@@ -9,8 +9,10 @@ by averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import comb, factorial
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import (
@@ -141,101 +143,74 @@ def tree_pair_family(g: Graph, L: dict) -> ColoringFamily:
 # ---------------------------------------------------------------------------
 # 2-trees: six colorings, each list color twice per vertex
 
-def is_admissible(phis: list, u: int, v: int, Lu, Lv) -> bool:
-    """The four conditions tying six colorings to an edge uv."""
-    pairs = set()
-    for phi in phis:
-        a, b = phi[u], phi[v]
-        if a == b:
-            return False
-        if (a, b) in pairs:
-            return False
-        pairs.add((a, b))
-    for vertex, lst in ((u, Lu), (v, Lv)):
-        counts: dict = {}
-        for phi in phis:
-            c = phi[vertex]
-            counts[c] = counts.get(c, 0) + 1
-        if any(counts.get(c, 0) != 2 for c in lst) or set(counts) != set(lst):
-            return False
-    return True
+# the 15 pairs of positions i < j among six
+_PAIRS = tuple(combinations(range(6), 2))
 
 
-def _extend_values(us: tuple, vs: tuple, Lw) -> Optional[tuple]:
-    """Colors for the new vertex against its two neighbors' six colors.
+def _equal_pairs(values: tuple) -> int:
+    """Bit k set where the k-th pair of positions holds equal values."""
+    return sum(
+        1 << k for k, (i, j) in enumerate(_PAIRS) if values[i] == values[j]
+    )
 
-    Backtracks over positions trying the three list colors in ascending
-    order, so the result is the lexicographically smallest arrangement
-    using each color exactly twice and keeping both new edges admissible.
+
+# every arrangement of three ranks, each twice, over six positions, in
+# lexicographic order: its equal pairs, its mask with bit 3*i + r set
+# where position i takes rank r, a getter for its colors from the sorted
+# list, and the bits 3*i of the positions that take each rank
+_ARRANGEMENTS = tuple(
+    (
+        _equal_pairs(ranks),
+        sum(1 << 3 * i + r for i, r in enumerate(ranks)),
+        itemgetter(*ranks),
+        tuple(sum(1 << 3 * i for i, x in enumerate(ranks) if x == r)
+              for r in range(3)),
+    )
+    for ranks in sorted(set(permutations((0, 0, 1, 1, 2, 2))))
+)
+
+
+@lru_cache(maxsize=None)
+def _arrangements(clashes: int) -> tuple:
+    """The arrangements that give different ranks to both positions of
+    every pair in clashes; at most 2**15 keys, and 60 on admissible
+    colorings, whose clashes are the six edges of a 6-cycle."""
+    return tuple(a for a in _ARRANGEMENTS if not a[0] & clashes)
+
+
+def _state(values: tuple) -> tuple:
+    """A vertex's six colors, one per member, with their equal pairs and
+    their color masks: bit 3*i set for each position i holding the
+    color, by color."""
+    masks: dict = {}
+    for i, c in enumerate(values):
+        masks[c] = masks.get(c, 0) | 1 << 3 * i
+    return values, _equal_pairs(values), masks
+
+
+def _extend(su: tuple, sv: tuple, Lw) -> Optional[tuple]:
+    """The state of a new vertex with three colors next to vertices in
+    states su and sv.
+
+    Its colors are the lexicographically smallest arrangement of Lw's
+    colors, each twice, that avoids u's and v's colors at every position
+    and gives different colors to every two positions that hold the same
+    color at u, or at v, so that both new edges stay admissible; None if
+    there is none.
     """
     colors = sorted(Lw)
-    counts = [2, 2, 2]
-    out = [None] * 6
-    pairs_u: set = set()
-    pairs_v: set = set()
-
-    def rec(i: int) -> bool:
-        if i == 6:
-            return True
-        for ci, c in enumerate(colors):
-            if counts[ci] == 0 or c == us[i] or c == vs[i]:
-                continue
-            pu, pv = (us[i], c), (vs[i], c)
-            if pu in pairs_u or pv in pairs_v:
-                continue
-            counts[ci] -= 1
-            out[i] = c
-            pairs_u.add(pu)
-            pairs_v.add(pv)
-            if rec(i + 1):
-                return True
-            counts[ci] += 1
-            pairs_u.discard(pu)
-            pairs_v.discard(pv)
-        return False
-
-    return tuple(out) if rec(0) else None
-
-
-def extend_phi(phis: list, u: int, v: int, w: int, Lw) -> list:
-    """Extend a six-coloring set admissible at uv to a new vertex w
-    adjacent to u and v, keeping admissibility at uw and vw.
-
-    A valid arrangement always exists here; not finding one means the
-    inputs were invalid or there is a bug, so the failure is loud.
-    """
-    if len(set(Lw)) != 3:
-        raise PreconditionError(f"new vertex needs a 3-list, got {sorted(Lw)}")
-    if len(phis) != 6:
-        raise PreconditionError(f"expected six colorings, got {len(phis)}")
-    us = tuple(phi[u] for phi in phis)
-    vs = tuple(phi[v] for phi in phis)
-    values = _extend_values(us, vs, Lw)
-    if values is None:
-        raise InternalInvariantError(
-            f"no admissible extension at vertex {w}; the colorings were "
-            "not admissible at the base edge"
-        )
-    for phi, c in zip(phis, values):
-        phi[w] = c
-    return phis
-
-
-def _seed_edge(u: int, v: int, Lu, Lv) -> list:
-    """Lexicographically smallest admissible six-coloring of one edge.
-
-    u takes its colors in ascending order, each twice, the smallest
-    arrangement of all; v then takes the smallest arrangement of its
-    list that keeps the edge admissible, which is what extending a new
-    vertex against two copies of u's colors finds.
-    """
-    us = tuple(c for c in sorted(Lu) for _ in range(2))
-    vs = _extend_values(us, us, Lv)
-    if vs is None:
-        raise InternalInvariantError(
-            f"no admissible seed for lists {sorted(Lu)} and {sorted(Lv)}"
-        )
-    return [{u: a, v: b} for a, b in zip(us, vs)]
+    c0, c1, c2 = colors
+    _, eu, mu = su
+    _, ev, mv = sv
+    forbidden = (
+        mu.get(c0, 0) | mv.get(c0, 0)
+        | (mu.get(c1, 0) | mv.get(c1, 0)) << 1
+        | (mu.get(c2, 0) | mv.get(c2, 0)) << 2
+    )
+    for equal, mask, get, rank_masks in _arrangements(eu | ev):
+        if not mask & forbidden:
+            return get(colors), equal, dict(zip(colors, rank_masks))
+    return None
 
 
 def two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
@@ -252,22 +227,26 @@ def two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
                 f"vertex {v} has list size {len(L[v])}, expected 3"
             )
     seq = order.sequence
-    phis = _seed_edge(seq[0], seq[1], L[seq[0]], L[seq[1]])
     pos = order.position()
-    for i in range(2, g.n):
+    states = [None] * g.n
+    # the first vertex takes its colors in ascending order, each twice,
+    # the smallest arrangement of all; the second extends against two
+    # copies of it, which gives the smallest admissible first edge
+    first = sorted(L[seq[0]])
+    states[seq[0]] = _state(tuple(c for c in first for _ in range(2)))
+    for i in range(1, g.n):
         w = seq[i]
-        u, v = sorted(
-            (x for x in g.neighbors(w) if pos[x] < i), key=lambda x: pos[x]
-        )
-        extend_phi(phis, u, v, w, L[w])
-    return ColoringFamily(tuple(dict(p) for p in phis), 3)
-
-
-def check_admissible_everywhere(g: Graph, L: dict, family: ColoringFamily) -> None:
-    phis = list(family.members)
-    for u, v in g.edges:
-        if not is_admissible(phis, u, v, L[u], L[v]):
-            raise InternalInvariantError(f"family not admissible at edge ({u},{v})")
+        back = [x for x in g.neighbors(w) if pos[x] < i]
+        # the extension is symmetric in the two back-neighbors
+        u, v = back * 2 if i == 1 else back
+        states[w] = _extend(states[u], states[v], L[w])
+        if states[w] is None:
+            raise InternalInvariantError(
+                f"no admissible extension at vertex {w}; the colorings of "
+                "its back-neighbors were not admissible"
+            )
+    members = zip(*(states[v][0] for v in seq))
+    return ColoringFamily(tuple(dict(zip(seq, col)) for col in members), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,16 @@ exact derandomizer's on a fixed corpus.
 stops being precolored by classifying the whole graph twice;
 `maxdeg._local_b_values` must give the same count for every r.
 
-`reference_seed_edge` is the 2-tree seed search that
-`treewidth._seed_edge` replaced: it enumerates all 90 arrangements of
-three colors twice each, for u and then for v, and keeps the first
-admissible pair.
+`reference_seed_edge` finds the first edge of a 2-tree's six colorings
+by enumerating all 90 arrangements of three colors twice each, for u
+and then for v, and keeping the first admissible pair;
+`treewidth.two_tree_family` must color that edge the same way.
+`reference_extend_values` is the backtracking search per vertex that
+`treewidth._extend` replaced with a table lookup, and
+`reference_two_tree_family` builds the six colorings of a 2-tree from
+the two searches, one dict per member.  `is_admissible` and
+`check_admissible_everywhere` check the four conditions that tie the
+six colorings to each edge.
 
 `reference_backtrack_coloring` is the recursive search that
 `listcolor.degree_choosable_coloring` ran on every component with all
@@ -39,7 +45,11 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional
 
-from flexicolor.errors import FormatError, PreconditionError
+from flexicolor.errors import (
+    FormatError,
+    InternalInvariantError,
+    PreconditionError,
+)
 from flexicolor.graph import Graph, KTreeOrder, TreedepthForest
 from flexicolor.cli import RESULT_HEADER
 from flexicolor.instances import FORMAT_HEADER, InstanceFile, format_fraction
@@ -51,6 +61,7 @@ from flexicolor.treedepth import (
     _delete_and_trim,
     _Recursion,
 )
+from flexicolor.treewidth import ColoringFamily
 
 
 def parse_int(tok: str, lineno: Optional[int], what: str) -> int:
@@ -463,6 +474,90 @@ def reference_seed_edge(u: int, v: int, Lu, Lv) -> Optional[list]:
                 continue
             return [{u: a, v: b} for a, b in zip(us, vs)]
     return None
+
+
+def reference_extend_values(us: tuple, vs: tuple, Lw) -> Optional[tuple]:
+    """Colors for the new vertex against its two neighbors' six colors.
+
+    Backtracks over positions trying the three list colors in ascending
+    order, so the result is the lexicographically smallest arrangement
+    using each color exactly twice and keeping both new edges admissible.
+    """
+    colors = sorted(Lw)
+    counts = [2, 2, 2]
+    out = [None] * 6
+    pairs_u: set = set()
+    pairs_v: set = set()
+
+    def rec(i: int) -> bool:
+        if i == 6:
+            return True
+        for ci, c in enumerate(colors):
+            if counts[ci] == 0 or c == us[i] or c == vs[i]:
+                continue
+            pu, pv = (us[i], c), (vs[i], c)
+            if pu in pairs_u or pv in pairs_v:
+                continue
+            counts[ci] -= 1
+            out[i] = c
+            pairs_u.add(pu)
+            pairs_v.add(pv)
+            if rec(i + 1):
+                return True
+            counts[ci] += 1
+            pairs_u.discard(pu)
+            pairs_v.discard(pv)
+        return False
+
+    return tuple(out) if rec(0) else None
+
+
+def reference_two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
+    """The six colorings of a 2-tree, grown one dict per member by the
+    seed search and the backtracking extension."""
+    seq = order.sequence
+    phis = reference_seed_edge(seq[0], seq[1], L[seq[0]], L[seq[1]])
+    pos = order.position()
+    for i in range(2, g.n):
+        w = seq[i]
+        u, v = sorted(
+            (x for x in g.neighbors(w) if pos[x] < i), key=lambda x: pos[x]
+        )
+        values = reference_extend_values(
+            tuple(phi[u] for phi in phis), tuple(phi[v] for phi in phis), L[w]
+        )
+        if values is None:
+            raise InternalInvariantError(f"no admissible extension at vertex {w}")
+        for phi, c in zip(phis, values):
+            phi[w] = c
+    return ColoringFamily(tuple(phis), 3)
+
+
+def is_admissible(phis: list, u: int, v: int, Lu, Lv) -> bool:
+    """The four conditions tying six colorings to an edge uv."""
+    pairs = set()
+    for phi in phis:
+        a, b = phi[u], phi[v]
+        if a == b:
+            return False
+        if (a, b) in pairs:
+            return False
+        pairs.add((a, b))
+    for vertex, lst in ((u, Lu), (v, Lv)):
+        counts: dict = {}
+        for phi in phis:
+            c = phi[vertex]
+            counts[c] = counts.get(c, 0) + 1
+        if any(counts.get(c, 0) != 2 for c in lst) or set(counts) != set(lst):
+            return False
+    return True
+
+
+def check_admissible_everywhere(g: Graph, L: dict, family: ColoringFamily) -> None:
+    phis = list(family.members)
+    for u, v in g.edges:
+        if not is_admissible(phis, u, v, L[u], L[v]):
+            raise InternalInvariantError(f"family not admissible at edge ({u},{v})")
 
 
 def reference_backtrack_coloring(g: Graph, L: dict) -> Optional[dict]:

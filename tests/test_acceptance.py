@@ -47,12 +47,11 @@ from flexicolor.treedepth import TdInstance, derandomized_coloring
 from flexicolor.treewidth import (
     best_of_family,
     build_SA,
-    check_admissible_everywhere,
     family_size,
     lambda_family,
     two_tree_family,
 )
-from reference import reference_exact_request_probability
+from reference import check_admissible_everywhere, reference_exact_request_probability
 
 
 def test_ac01_unweighted_maxdeg_bound():

@@ -1,5 +1,5 @@
 import random
-import time
+import sys
 from fractions import Fraction
 
 import pytest
@@ -295,17 +295,28 @@ class TestThreeConnected:
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert not is_three_connected(g) and not brute_three_connected(g)
 
-    def test_time_about_quadratic(self):
-        def best_of_five(n):
+    def test_work_about_quadratic(self):
+        def lines_run(n):
+            """Python lines that is_three_connected runs, callees included:
+            a count of its work that does not depend on the host."""
             g = random_three_connected(1, n).g
-            best = float("inf")
-            for _ in range(5):
-                start = time.process_time()
-                assert is_three_connected(g)
-                best = min(best, time.process_time() - start)
-            return best
+            count = 0
 
-        # twice the vertices: one low-link pass per vertex takes about 4
-        # times as long, one induced subgraph per pair about 8 times
-        ratio = best_of_five(160) / best_of_five(80)
+            def tracer(frame, event, arg):
+                nonlocal count
+                if event == "line":
+                    count += 1
+                return tracer
+
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                assert is_three_connected(g)
+            finally:
+                sys.settrace(previous)
+            return count
+
+        # twice the vertices: one low-link pass per vertex does about 4
+        # times the work, one connectivity check per pair about 8 times
+        ratio = lines_run(160) / lines_run(80)
         assert ratio < 5, ratio

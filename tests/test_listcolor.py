@@ -103,6 +103,53 @@ class TestValidation:
         assert r.domain() == {0}
         assert r.total() == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_weight_signs_refused_at_the_first_offender(self, data):
+        # rational weights of every sign, with floats and missing weights
+        # mixed in: the request names the first offender in its own order
+        weight = st.one_of(
+            st.fractions(-3, 3, max_denominator=4),
+            st.integers(-3, 3),
+            st.floats(-3, 3),
+        )
+        prefs = {v: 1 for v in data.draw(st.permutations(range(6)))}
+        weights = data.draw(st.dictionaries(st.sampled_from(list(prefs)), weight))
+        offender = next(
+            (v for v in prefs if weights.get(v) is None or weights[v] <= 0), None
+        )
+        if offender is None:
+            Request("unique", prefs=prefs, weights=weights)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                Request("unique", prefs=prefs, weights=weights)
+            assert str(err.value) == (
+                "uniquely weighted request needs a positive weight at "
+                f"vertex {offender}"
+            )
+
+        g = Graph(3, [(0, 1)])
+        L = {0: {1, 2}, 1: {1, 2}, 2: {2, 3}}
+        keys = st.tuples(st.integers(-1, 3), st.integers(1, 3))
+        table = data.draw(st.dictionaries(keys, weight, max_size=8))
+        message = None
+        for (v, c), w in table.items():
+            if not 0 <= v < g.n:
+                message = f"request vertex {v} out of range"
+            elif c not in L[v]:
+                message = f"requested color {c} at vertex {v} is not in its list"
+            elif w < 0:
+                message = f"negative weight at vertex {v}, color {c}"
+            if message is not None:
+                break
+        request = Request("weighted", table=table)
+        if message is None:
+            request.validate(g, L)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                request.validate(g, L)
+            assert str(err.value) == message
+
     def test_widespread(self):
         g = Graph(2, [(0, 1)])
         assert Request("unweighted", prefs={0: 1, 1: 1}).is_widespread(g)

@@ -1,27 +1,32 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexicolor.errors import PreconditionError
-from flexicolor.graph import Graph
+from flexicolor.graph import Graph, KTreeOrder, validate_ktree_order
 from flexicolor.instances import fig_3tree, random_ktree
 from flexicolor.listcolor import Request, satisfied_amount
 from flexicolor.treewidth import (
-    _seed_edge,
+    _extend,
+    _state,
     best_of_family,
     build_SA,
-    check_admissible_everywhere,
-    extend_phi,
     family_size,
-    is_admissible,
     lambda_family,
     tree_pair_family,
     two_tree_family,
 )
-from reference import reference_seed_edge
+from reference import (
+    check_admissible_everywhere,
+    is_admissible,
+    reference_extend_values,
+    reference_seed_edge,
+    reference_two_tree_family,
+)
 
 
 class TestTreePairFamily:
@@ -57,7 +62,10 @@ class TestSixColoringFamily:
         ]
         Lu, Lv, Lw = {1, 2, 3}, {1, 2, 4}, {1, 3, 4}
         assert is_admissible(phis, 0, 1, Lu, Lv)
-        out = extend_phi([dict(p) for p in phis], 0, 1, 2, Lw)
+        values = _extend_values(
+            tuple(p[0] for p in phis), tuple(p[1] for p in phis), Lw
+        )
+        out = [{**p, 2: c} for p, c in zip(phis, values)]
         assert [p[2] for p in out] == [4, 3, 3, 1, 4, 1]
         assert is_admissible(out, 0, 2, Lu, Lw)
         assert is_admissible(out, 1, 2, Lv, Lw)
@@ -79,11 +87,76 @@ class TestSixColoringFamily:
         checked = 0
         for Lu in subsets:
             for Lv in subsets:
-                seed = _seed_edge(0, 1, Lu, Lv)
+                edge = two_tree_family(
+                    Graph(2, [(0, 1)]), KTreeOrder(2, (0, 1)), {0: Lu, 1: Lv}
+                )
+                seed = list(edge.members)
                 assert seed == reference_seed_edge(0, 1, Lu, Lv), (Lu, Lv)
                 assert is_admissible(seed, 0, 1, Lu, Lv)
                 checked += 1
         assert checked == 1225
+
+    def test_table_step_matches_backtracking_on_admissible_patterns(self):
+        # Lw = {0, 1, 2}; each equality block of us and of vs holds one of
+        # Lw's colors (no two blocks the same one) or a color of its own,
+        # which covers every input up to relabelling the colors: all 15
+        # perfect matchings for us, the 8 disjoint from it for vs, and
+        # 34 * 34 ways to place Lw's colors on their blocks
+        positions = tuple(range(6))
+        matchings = list(_perfect_matchings(positions))
+        assert len(matchings) == 15
+        checked = 0
+        for mu in matchings:
+            for mv in matchings:
+                if set(mu) & set(mv):
+                    continue
+                for us in _place_colors(mu, 10):
+                    for vs in _place_colors(mv, 20):
+                        assert _extend_values(us, vs, {0, 1, 2}) == (
+                            reference_extend_values(us, vs, {0, 1, 2})
+                        ), (us, vs)
+                        checked += 1
+        assert checked == 15 * 8 * 34 * 34
+
+    def test_table_step_matches_backtracking_on_any_input(self):
+        # any equality patterns, including ones no admissible coloring has
+        rng = random.Random(0)
+        found = 0
+        for _ in range(5000):
+            k = rng.randint(3, 9)
+            us = tuple(rng.randrange(k) for _ in range(6))
+            vs = tuple(rng.randrange(k) for _ in range(6))
+            Lw = set(rng.sample(range(k), 3))
+            values = reference_extend_values(us, vs, Lw)
+            assert _extend_values(us, vs, Lw) == values, (us, vs, Lw)
+            found += values is not None
+        assert 1000 < found < 4000
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_family_matches_reference_on_relabelled_two_trees(self, data):
+        n = data.draw(st.integers(2, 80))
+        palette = data.draw(st.integers(3, 7))
+        # vertex i joins both ends of an earlier edge; the relabelling
+        # gives orders that are not the identity
+        edges = [(0, 1)]
+        for i in range(2, n):
+            a, b = edges[data.draw(st.integers(0, len(edges) - 1))]
+            edges += [(a, i), (b, i)]
+        label = data.draw(st.permutations(range(n)))
+        g = Graph(n, [(label[a], label[b]) for a, b in edges])
+        order = KTreeOrder(2, tuple(label))
+        assert validate_ktree_order(g, order) is None
+        colors = st.lists(
+            st.integers(1, palette), min_size=3, max_size=3, unique=True
+        )
+        L = {v: set(data.draw(colors)) for v in range(n)}
+        fam = two_tree_family(g, order, L)
+        ref = reference_two_tree_family(g, order, L)
+        assert [list(phi.items()) for phi in fam.members] == [
+            list(phi.items()) for phi in ref.members
+        ]
+        assert fam.period == 3
 
     def test_two_tree_family_small(self):
         inst = random_ktree(0, 12, 2, list_size=3)
@@ -104,6 +177,39 @@ class TestSixColoringFamily:
             )
             best = best_of_family(inst.g, inst.L, fam := two_tree_family(inst.g, inst.ktree, inst.L), req)
             assert satisfied_amount(inst.g, inst.L, best, req) * 3 >= req.total()
+
+
+def _extend_values(us: tuple, vs: tuple, Lw):
+    """The table step against two neighbors' six colors: the new vertex's
+    six colors, or None."""
+    state = _extend(_state(us), _state(vs), Lw)
+    return None if state is None else state[0]
+
+
+def _perfect_matchings(positions: tuple):
+    """Every split of the positions into pairs, as sorted pair tuples."""
+    if not positions:
+        yield ()
+        return
+    first = positions[0]
+    for k, other in enumerate(positions[1:], 1):
+        rest = positions[1:k] + positions[k + 1:]
+        for m in _perfect_matchings(rest):
+            yield ((first, other),) + m
+
+
+def _place_colors(matching: tuple, fresh: int):
+    """Every six-tuple whose equality blocks are the matching's pairs, with
+    each block holding one of the colors 0, 1, 2 or its own color from
+    fresh on, no two blocks the same color."""
+    for labels in product(range(4), repeat=3):
+        placed = [x for x in labels if x < 3]
+        if len(placed) != len(set(placed)):
+            continue
+        values = [None] * 6
+        for b, ((i, j), x) in enumerate(zip(matching, labels)):
+            values[i] = values[j] = x if x < 3 else fresh + b
+        yield tuple(values)
 
 
 class TestBuildSA:
