@@ -31,7 +31,7 @@ from .listcolor import (
     validate_lists,
 )
 from .maxdeg import solve_unweighted, solve_weighted
-from .oracle import bruteforce_bad_component, optimal_satisfaction
+from .oracle import optimal_satisfaction
 from .treewidth import (
     best_of_family,
     build_SA,
@@ -45,11 +45,10 @@ from .degeneracy import (
     DegeneracyOrdering,
     Hypergraph,
     epsilon_value,
-    exact_game_connectivity,
     flexible_degeneracy_order,
     hypergraph_spanning_set,
     ordering_from_tree,
 )
-from .instances import InstanceFile, parse, parse_dimacs, serialize
+from .instances import InstanceFile, parse, serialize
 
 __version__ = "0.1.0"

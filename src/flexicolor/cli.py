@@ -14,7 +14,11 @@ from itertools import count
 from operator import eq, not_
 from typing import Optional
 
-from .degeneracy import DegeneracyOrdering, flexible_degeneracy_order
+from .degeneracy import (
+    DegeneracyOrdering,
+    first_among_neighbors,
+    flexible_degeneracy_order,
+)
 from .errors import (
     BudgetExceededError,
     FlexicolorError,
@@ -137,8 +141,7 @@ def _solve(args) -> int:
     lines = [RESULT_HEADER, f"method {method}"]
 
     if method == "degeneracy":
-        mode = args.independent_set or "greedy"
-        outcome = flexible_degeneracy_order(g, sorted(request.domain()), mode)
+        outcome = flexible_degeneracy_order(g, sorted(request.domain()))
         total = len(request.domain())
         satisfied = outcome.satisfied
         certified = outcome.certified_fraction
@@ -157,11 +160,8 @@ def _solve(args) -> int:
 
     certified = _certified_fraction(method, inst)
     if method in ("maxdeg", "maxdeg-weighted"):
-        if method == "maxdeg":
-            solver, mode = solve_unweighted, args.independent_set or "brooks"
-        else:
-            solver, mode = solve_weighted, args.independent_set or "greedy"
-        outcome = solver(g, L, request, mode)
+        solver = solve_unweighted if method == "maxdeg" else solve_weighted
+        outcome = solver(g, L, request)
         coloring, satisfied = outcome.coloring, outcome.satisfied
         certified, total = outcome.certified_fraction, outcome.request_total
     else:
@@ -363,12 +363,7 @@ def _verify(args) -> int:
             doc["order"], doc["degeneracy"], doc.get("first", frozenset())
         )
         ordering.validate(g)
-        pos = {v: i for i, v in enumerate(doc["order"])}
-        true_first = frozenset(
-            v
-            for v in range(g.n)
-            if all(pos[u] > pos[v] for u in g.neighbors(v))
-        )
+        true_first = first_among_neighbors(g, doc["order"])
         satisfied = Fraction(len(true_first & request.domain()))
         total = len(request.domain())
     else:
@@ -430,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="run a solver on an instance")
     slv.add_argument("instance")
     slv.add_argument("--method", choices=METHODS, required=True)
-    slv.add_argument("--independent-set", choices=("greedy", "brooks"), default=None)
     slv.add_argument("--lam", default=None)
     slv.add_argument("--out", default=None)
     slv.set_defaults(func=_solve)

@@ -3,8 +3,7 @@
 A spanning-tree walk turns leaves into vertices that precede all their
 neighbors in a (maxdeg-1)-degeneracy order.  For 3-connected non-regular
 graphs, a hypergraph spanning-set recursion keeps a constant fraction of
-any requested set as such leaves.  Exact game connectivity by brute
-force serves as ground truth at desk scale.
+any requested set as such leaves.
 """
 from __future__ import annotations
 
@@ -13,11 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import (
-    BudgetExceededError,
-    InternalInvariantError,
-    PreconditionError,
-)
+from .errors import InternalInvariantError, PreconditionError
 from .graph import Graph, block_cut_tree
 from .maxdeg import _independent_with_count
 
@@ -53,6 +48,15 @@ class DegeneracyOrdering:
                         f"vertex {v} is marked first among neighbors but "
                         f"{u} precedes it"
                     )
+
+
+def first_among_neighbors(g: Graph, order: tuple) -> frozenset:
+    """The vertices that come before all of their neighbors in order, a
+    permutation of g's vertices."""
+    pos = {v: i for i, v in enumerate(order)}
+    return frozenset(
+        v for v in range(g.n) if all(pos[u] > pos[v] for u in g.neighbors(v))
+    )
 
 
 def _spanning_tree_edges(g: Graph, root: int) -> list:
@@ -129,12 +133,7 @@ def ordering_from_tree(
         )
     visit.extend(sorted(I))
     order = tuple(reversed(visit))
-    pos = {v: i for i, v in enumerate(order)}
-    first = frozenset(
-        v
-        for v in range(g.n)
-        if all(pos[u] > pos[v] for u in g.neighbors(v))
-    )
+    first = first_among_neighbors(g, order)
     if not I <= first:
         raise InternalInvariantError(
             "a designated leaf does not precede all of its neighbors"
@@ -427,15 +426,14 @@ class DegeneracyOutcome:
     trace: dict = field(default_factory=dict)
 
 
-def flexible_degeneracy_order(
-    g: Graph, R0: Iterable[int], mode: str = "greedy"
-) -> DegeneracyOutcome:
+def flexible_degeneracy_order(g: Graph, R0: Iterable[int]) -> DegeneracyOutcome:
     """Degeneracy ordering putting a certified fraction of the requested
     vertices before all of their neighbors.
 
     Pipeline: drop the reserved low-degree vertex, take an independent
-    subset, build the component hypergraph, keep the spanning-set
-    complement as leaves of a spanning tree, and walk the tree.
+    subset from a greedy coloring, build the component hypergraph, keep
+    the spanning-set complement as leaves of a spanning tree, and walk
+    the tree.
     """
     R0 = set(R0)
     for v in R0:
@@ -467,7 +465,7 @@ def flexible_degeneracy_order(
             ordering, 0, Fraction(0), len(R0), {"note": "empty request"}
         )
 
-    R_prime, chi_hat, used_mode = _independent_with_count(g, R, 1, mode)
+    R_prime, chi_hat = _independent_with_count(g, R, 1, "greedy")
 
     rest = [v for v in range(g.n) if v not in R_prime]
     sub, ids = g.induced(rest)
@@ -518,7 +516,6 @@ def flexible_degeneracy_order(
         )
     trace = {
         "w": w,
-        "mode": used_mode,
         "chi_hat": chi_hat,
         "epsilon": eps,
         "R_prime": sorted(R_prime),
@@ -526,154 +523,3 @@ def flexible_degeneracy_order(
         "R_pp": sorted(R_pp),
     }
     return DegeneracyOutcome(ordering, satisfied, certified, len(R0), trace)
-
-
-# ---------------------------------------------------------------------------
-# Exact game connectivity by brute force
-
-
-def _connected_mask(adj_masks: list, mask: int) -> bool:
-    if mask == 0:
-        return False
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        new = adj_masks[v] & mask & ~seen
-        while new:
-            b = new & -new
-            seen |= b
-            stack.append(b.bit_length() - 1)
-            new &= ~b
-    return seen == mask
-
-
-def exact_game_connectivity(g: Graph, cap: int = 16) -> tuple:
-    """Worst case over requested sets of the best removable fraction.
-
-    A subset is removable when the rest of the graph stays connected and
-    every removed vertex keeps an outside neighbor.  Returns the value
-    and one minimizing requested set.
-    """
-    g.require_connected()
-    n = g.n
-    if n > cap:
-        raise BudgetExceededError(f"exact search capped at {cap} vertices, got {n}")
-    if n == 0:
-        raise PreconditionError("empty graph")
-    adj_masks = [
-        sum(1 << u for u in g.neighbors(v)) for v in range(n)
-    ]
-    full = (1 << n) - 1
-    valid = [False] * (1 << n)
-    valid[0] = True
-    for m in range(1, 1 << n):
-        rest = full & ~m
-        if rest == 0 or not _connected_mask(adj_masks, rest):
-            continue
-        ok = True
-        mm = m
-        while mm:
-            b = mm & -mm
-            v = b.bit_length() - 1
-            if not (adj_masks[v] & rest):
-                ok = False
-                break
-            mm &= ~b
-        valid[m] = ok
-    best = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        pc = m.bit_count()
-        if valid[m]:
-            best[m] = pc
-        mm = m
-        hi = 0
-        while mm:
-            b = mm & -mm
-            hi = max(hi, best[m & ~b])
-            mm &= ~b
-        best[m] = max(best[m], hi)
-    kappa = None
-    witness = None
-    for m in range(1, 1 << n):
-        val = Fraction(best[m], m.bit_count())
-        if kappa is None or val < kappa:
-            kappa = val
-            witness = m
-    ws = tuple(v for v in range(n) if witness >> v & 1)
-    return kappa, ws
-
-
-def removable_ratio(g: Graph, R: Iterable[int]) -> Fraction:
-    """Best fraction of R removable while keeping the rest connected and
-    every removed vertex anchored outside.  Searches subsets of R only."""
-    from itertools import combinations
-
-    g.require_connected()
-    R = sorted(set(R))
-    if not R:
-        raise PreconditionError("requested set must be non-empty")
-    for size in range(len(R), 0, -1):
-        for sub in combinations(R, size):
-            rest = [v for v in range(g.n) if v not in sub]
-            if not rest:
-                continue
-            rg, _ = g.induced(rest)
-            if not rg.is_connected():
-                continue
-            outside = set(rest)
-            if all(any(u in outside for u in g.neighbors(v)) for v in sub):
-                return Fraction(size, len(R))
-    return Fraction(0)
-
-
-def leaf_ratio(g: Graph, R: Iterable[int]) -> Fraction:
-    """Best fraction of R realizable as leaves of a spanning tree,
-    by enumerating spanning trees outright."""
-    R = set(R)
-    if not R:
-        raise PreconditionError("requested set must be non-empty")
-    best = 0
-    for leaves in _leaf_sets(g):
-        best = max(best, len(R & leaves))
-    return Fraction(best, len(R))
-
-
-def _leaf_sets(g: Graph) -> set:
-    """Leaf sets of all spanning trees (deduplicated)."""
-    from itertools import combinations
-
-    if g.n == 1:
-        return {frozenset([0])}
-    out = set()
-    edges = g.edges
-    for subset in combinations(range(len(edges)), g.n - 1):
-        uf = _UnionFind(g.n)
-        ok = True
-        deg = [0] * g.n
-        for i in subset:
-            u, v = edges[i]
-            if not uf.union(u, v):
-                ok = False
-                break
-            deg[u] += 1
-            deg[v] += 1
-        if ok:
-            out.add(frozenset(v for v in range(g.n) if deg[v] == 1))
-    return out
-
-
-def game_connectivity_by_trees(g: Graph, cap: int = 8) -> Fraction:
-    """Spanning-tree formulation of game connectivity, for cross-checks."""
-    g.require_connected()
-    if g.n > cap:
-        raise BudgetExceededError(f"tree enumeration capped at {cap} vertices")
-    masks = [sum(1 << v for v in ls) for ls in _leaf_sets(g)]
-    kappa = None
-    for m in range(1, 1 << g.n):
-        best = max((m & lm).bit_count() for lm in masks)
-        val = Fraction(best, m.bit_count())
-        if kappa is None or val < kappa:
-            kappa = val
-    return kappa

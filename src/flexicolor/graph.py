@@ -237,11 +237,6 @@ class Block:
 class BlockCutTree:
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
-    # bipartite tree edges as (block index, cut vertex)
-    tree_edges: tuple[tuple[int, int], ...]
-
-    def terminal_blocks(self) -> tuple[Block, ...]:
-        return tuple(b for b in self.blocks if b.terminal)
 
     def all_blocks_clique_or_odd_cycle(self) -> bool:
         return all(b.tag in ("clique", "odd-cycle") for b in self.blocks)
@@ -260,14 +255,15 @@ def _block_tag(k: int, m: int) -> str:
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
-    """Blocks, cut vertices and the bipartite block-cut tree of a connected
-    graph.  Iterative Hopcroft-Tarjan on the edge stack."""
+    """Blocks and cut vertices of a connected graph; a block is terminal
+    when it holds at most one cut vertex (a leaf of the block-cut tree).
+    Iterative Hopcroft-Tarjan on the edge stack."""
     if g.n < 1:
         raise PreconditionError("graph must have at least one vertex")
     g.require_connected()
     if g.n == 1:
         blk = Block((0,), (), "clique", True)
-        return BlockCutTree((blk,), frozenset(), ())
+        return BlockCutTree((blk,), frozenset())
 
     disc = [-1] * g.n
     low = [0] * g.n
@@ -330,15 +326,11 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     blocks.sort()
 
     cut_vertices = frozenset(v for v in range(g.n) if cut[v])
-    tree_edges = []
     final_blocks = []
-    for i, (vs, es) in enumerate(blocks):
-        cuts_in = [v for v in vs if v in cut_vertices]
-        for v in cuts_in:
-            tree_edges.append((i, v))
-        terminal = len(cuts_in) <= 1
+    for vs, es in blocks:
+        terminal = sum(1 for v in vs if v in cut_vertices) <= 1
         final_blocks.append(Block(vs, es, _block_tag(len(vs), len(es)), terminal))
-    return BlockCutTree(tuple(final_blocks), cut_vertices, tuple(tree_edges))
+    return BlockCutTree(tuple(final_blocks), cut_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +500,6 @@ def proper_coloring(g: Graph, power: int, mode: str) -> dict[int, int]:
     return coloring
 
 
-def color_count(coloring: dict[int, int]) -> int:
-    return len(set(coloring.values()))
-
-
 # ---------------------------------------------------------------------------
 # k-tree orders
 
@@ -583,9 +571,6 @@ class TreedepthForest:
     """Rooted forest on the vertices of a graph, closure-containing it."""
 
     parent: tuple[Optional[int], ...]  # parent[v] is None for roots
-
-    def roots(self) -> tuple[int, ...]:
-        return tuple(v for v, p in enumerate(self.parent) if p is None)
 
     def depth(self, v: int) -> int:
         d = 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, count, islice, repeat
 from operator import eq, gt, lt, not_
@@ -402,46 +402,6 @@ def parse(text: str) -> InstanceFile:
     except PreconditionError as exc:
         raise FormatError(str(exc))
     return inst
-
-
-def parse_dimacs(text: str) -> Graph:
-    """Edge-list graphs: a "p edge n m" header then "e u v" lines with
-    1-based ids."""
-    n = None
-    m = None
-    edges = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        toks = line.split()
-        if toks[0] == "p":
-            if n is not None:
-                raise FormatError("second problem line", line=i)
-            if len(toks) != 4 or toks[1] != "edge":
-                raise FormatError("problem line must be 'p edge n m'", line=i)
-            n = parse_int(toks[2], i, "vertex count")
-            m = parse_int(toks[3], i, "edge count")
-        elif toks[0] == "e":
-            if n is None:
-                raise FormatError("edge before problem line", line=i)
-            if len(toks) != 3:
-                raise FormatError("edge line must be 'e u v'", line=i)
-            u = parse_int(toks[1], i, "endpoint") - 1
-            v = parse_int(toks[2], i, "endpoint") - 1
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"endpoint out of range on line {i}", line=i)
-            edges.append((u, v))
-        else:
-            raise FormatError(f"unknown line type {toks[0]!r}", line=i)
-    if n is None:
-        raise FormatError("missing problem line")
-    if m is not None and m != len(edges):
-        raise FormatError(f"header announces {m} edges, found {len(edges)}")
-    try:
-        return Graph(n, edges)
-    except PreconditionError as exc:
-        raise FormatError(str(exc))
 
 
 # ---------------------------------------------------------------------------

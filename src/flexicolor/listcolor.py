@@ -110,9 +110,6 @@ class Request:
             return exact_sum(self.weights.values())
         return exact_sum(self.table.values())
 
-    def is_widespread(self, g: Graph) -> bool:
-        return self.domain() == set(range(g.n))
-
     def validate(self, g: Graph, L: dict) -> None:
         if self.kind == "weighted":
             least = _least_numerator(self.table.values())
@@ -206,6 +203,10 @@ def reduce_to_unique(request: Request, L: dict) -> Request:
 # Degree-choosable coloring
 
 
+# the most vertices of a bad component that the frontier sweep searches
+COMPONENT_CAP = 20
+
+
 @dataclass(frozen=True)
 class Infeasible:
     """No coloring: the instance is a bad component with no escape."""
@@ -214,9 +215,7 @@ class Infeasible:
     reason: str
 
 
-def degree_choosable_coloring(
-    g: Graph, L: dict, component_cap: int = 20
-) -> Union[dict, Infeasible]:
+def degree_choosable_coloring(g: Graph, L: dict) -> Union[dict, Infeasible]:
     """Proper on-list coloring of a connected graph with |L(v)| >= deg(v).
 
     The coloring is constructed as the degree-choosability proof builds
@@ -235,9 +234,9 @@ def degree_choosable_coloring(
     color = choosable_coloring(g, [sorted(L[v]) for v in range(g.n)])
     if color is not None:
         return color
-    if g.n > component_cap:
+    if g.n > COMPONENT_CAP:
         raise BudgetExceededError(
-            f"bad component on {g.n} vertices exceeds cap {component_cap}"
+            f"bad component on {g.n} vertices exceeds cap {COMPONENT_CAP}"
         )
     found = _sweep(g, L, {})[2]
     if found is not None:
@@ -249,9 +248,7 @@ def degree_choosable_coloring(
     )
 
 
-def precolor_and_extend(
-    g: Graph, L: dict, fixed: dict, component_cap: int = 20
-) -> Union[dict, Infeasible]:
+def precolor_and_extend(g: Graph, L: dict, fixed: dict) -> Union[dict, Infeasible]:
     """Color the fixed vertices as given and extend to the whole graph.
 
     Fixed vertices must be independent with on-list colors.  Their
@@ -286,7 +283,7 @@ def precolor_and_extend(
     out = dict(fixed)
     for comp_ids, comp_g in g.components_without(fixed_set):
         comp_L = {i: pruned[v] for i, v in enumerate(comp_ids)}
-        res = degree_choosable_coloring(comp_g, comp_L, component_cap)
+        res = degree_choosable_coloring(comp_g, comp_L)
         if isinstance(res, Infeasible):
             return Infeasible(
                 component=tuple(comp_ids[i] for i in res.component),

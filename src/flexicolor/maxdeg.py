@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InternalInvariantError, PreconditionError
-from .graph import BrooksObstructionError, Graph, block_cut_tree, proper_coloring
+from .graph import Graph, block_cut_tree, proper_coloring
 from .listcolor import (
     Infeasible,
     Request,
@@ -43,12 +43,7 @@ class SolverOutcome:
     satisfied: Union[int, Fraction]
     certified_fraction: Fraction
     request_total: Union[int, Fraction]
-    mode: str
     trace: dict = field(default_factory=dict)
-
-    @property
-    def certified_amount(self) -> Fraction:
-        return self.certified_fraction * self.request_total
 
 
 def _check_class_L(g: Graph, L: dict, delta: int) -> None:
@@ -213,14 +208,7 @@ def _independent_with_count(
 ) -> tuple:
     """Best color class of a proper coloring of g^distance restricted to
     R, together with the number of colors the coloring used."""
-    used_mode = mode
-    try:
-        coloring = proper_coloring(g, distance, mode)
-    except BrooksObstructionError:
-        # the power graph collapsed to a clique or odd cycle; greedy
-        # still certifies the bound since its color count stays small
-        used_mode = "greedy"
-        coloring = proper_coloring(g, distance, "greedy")
+    coloring = proper_coloring(g, distance, mode)
     chi_hat = len(set(coloring.values()))
     classes: dict = {}
     for v in R:
@@ -232,7 +220,7 @@ def _independent_with_count(
             classes.items(),
             key=lambda kv: (exact_sum(map(weights.__getitem__, kv[1])), -kv[0]),
         )
-    return set(best[1]), chi_hat, used_mode
+    return set(best[1]), chi_hat
 
 
 def _finish(
@@ -242,7 +230,6 @@ def _finish(
     Rpp: set,
     request: Request,
     certified_fraction: Fraction,
-    mode: str,
     trace: dict,
 ) -> SolverOutcome:
     fixed = {r: prefs[r] for r in Rpp}
@@ -259,15 +246,13 @@ def _finish(
             f"satisfied amount {sat} fell below the certified bound "
             f"{certified_fraction} * {total}"
         )
-    return SolverOutcome(res, sat, certified_fraction, total, mode, trace)
+    return SolverOutcome(res, sat, certified_fraction, total, trace)
 
 
-def solve_unweighted(
-    g: Graph, L: dict, request: Request, mode: str = "brooks"
-) -> SolverOutcome:
+def solve_unweighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
     """Proper list coloring satisfying at least |R|/(6 chi) requests,
-    where chi is the color count of the independent-set coloring
-    (at most maxdeg in brooks mode, maxdeg+1 in greedy mode).
+    where chi <= maxdeg is the color count of the Brooks coloring the
+    independent set is taken from.
 
     g, L and request must pass InstanceFile(g, L, request).validate().
     """
@@ -278,15 +263,11 @@ def solve_unweighted(
     R = set(prefs)
     if not R:
         trace = {"note": "empty request"}
-        return _finish(g, L, prefs, set(), request, Fraction(0), mode, trace)
+        return _finish(g, L, prefs, set(), request, Fraction(0), trace)
 
-    R_prime, chi_hat, used_mode = _independent_with_count(g, R, 1, mode)
-    trace: dict = {
-        "R_prime": sorted(R_prime),
-        "chi_hat": chi_hat,
-        "independent_mode": used_mode,
-        "moves": [],
-    }
+    # the preconditions exclude K_n and maxdeg < 3, so Brooks applies
+    R_prime, chi_hat = _independent_with_count(g, R, 1, "brooks")
+    trace: dict = {"R_prime": sorted(R_prime), "chi_hat": chi_hat, "moves": []}
 
     Rpp = set(R_prime)
     R_plus: set = set()
@@ -326,7 +307,7 @@ def solve_unweighted(
     if discharging is not None:
         trace["discharging"] = discharging
     certified = Fraction(1, 6 * chi_hat)
-    return _finish(g, L, prefs, Rpp, request, certified, used_mode, trace)
+    return _finish(g, L, prefs, Rpp, request, certified, trace)
 
 
 def _discharging_diagnostics(g: Graph, reports: list, Rpp: set) -> dict:
@@ -366,14 +347,13 @@ def _discharging_diagnostics(g: Graph, reports: list, Rpp: set) -> dict:
     }
 
 
-def solve_weighted(
-    g: Graph, L: dict, request: Request, mode: str = "greedy"
-) -> SolverOutcome:
+def solve_weighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
     """Weighted solver via distance-3 independence.
 
     Uniquely weighted input certifies total/(2 chi3) satisfied weight,
     general weighted input total/(2 chi3 maxlist); chi3 is the color
-    count used on the cube of the graph (at most maxdeg^3 either way).
+    count of the greedy coloring of the cube of the graph (at most
+    maxdeg^3).
     g, L and request must pass InstanceFile(g, L, request).validate().
     """
     delta = _check_solver_preconditions(g, L)
@@ -394,12 +374,10 @@ def solve_weighted(
     R = set(prefs)
     if not R:
         trace = {"note": "empty request"}
-        return _finish(g, L, prefs, set(), request, Fraction(0), mode, trace)
+        return _finish(g, L, prefs, set(), request, Fraction(0), trace)
 
-    R_prime, chi3, used_mode = _independent_with_count(g, R, 3, mode, weights)
-    trace.update(
-        R_prime=sorted(R_prime), chi3=chi3, independent_mode=used_mode
-    )
+    R_prime, chi3 = _independent_with_count(g, R, 3, "greedy", weights)
+    trace.update(R_prime=sorted(R_prime), chi3=chi3)
     # distance-3 independence: no vertex outside R' sees two R' vertices
     for v in range(g.n):
         if v in R_prime:
@@ -446,4 +424,4 @@ def solve_weighted(
     trace["R_plus"] = sorted(R_plus)
     trace["R_pp"] = sorted(Rpp)
     certified = reduction * Fraction(1, 2 * chi3)
-    return _finish(g, L, prefs, Rpp, request, certified, used_mode, trace)
+    return _finish(g, L, prefs, Rpp, request, certified, trace)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError
 from .graph import Graph
 
 if TYPE_CHECKING:
@@ -152,73 +152,3 @@ def optimal_satisfaction(
     count, best, coloring = _sweep(g, L, gain)
     optimum = best if request.kind == "unweighted" else Fraction(best, scale)
     return OracleResult(optimum, coloring, count)
-
-
-def is_degree_choosable_here(
-    g: Graph, L: dict, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """True iff at least one proper list coloring exists.  g and L must
-    pass InstanceFile(g, L).validate()."""
-    _check_budget(g, L, budget)
-    return _sweep(g, L, {})[0] > 0
-
-
-def _bruteforce_blocks(g: Graph) -> list:
-    """Blocks as maximal 2-connected-ish vertex sets, from first principles.
-
-    A candidate set is a block iff it induces a connected subgraph with
-    no cut vertex, uses at least one edge (or is a single vertex in an
-    edgeless graph), and no strict superset does the same.
-    """
-    if g.n == 1:
-        return [(0,)]
-    candidates = []
-    vs = list(range(g.n))
-    for mask in range(1, 1 << g.n):
-        sub_vs = [v for v in vs if mask >> v & 1]
-        if len(sub_vs) < 2:
-            continue
-        sub, _ = g.induced(sub_vs)
-        if not sub.is_connected() or sub.m == 0:
-            continue
-        if len(sub_vs) == 2:
-            candidates.append(tuple(sub_vs))
-            continue
-        has_cut = False
-        for i in range(sub.n):
-            rest, _ = sub.induced([x for x in range(sub.n) if x != i])
-            if not rest.is_connected():
-                has_cut = True
-                break
-        if not has_cut:
-            candidates.append(tuple(sub_vs))
-    blocks = [
-        c
-        for c in candidates
-        if not any(set(c) < set(d) for d in candidates if d != c)
-    ]
-    return sorted(blocks)
-
-
-def bruteforce_bad_component(g: Graph, L: dict) -> bool:
-    """Recompute the bad-component definition from scratch.
-
-    Bad means every list is tight to the degree and every block induces
-    a clique or an odd cycle.  Uses an independent block finder so it
-    cross-validates the solver-side classification.
-    """
-    if g.n > 16:
-        raise PreconditionError(f"brute-force block finder capped at 16, got {g.n}")
-    g.require_connected()
-    # empty lists are legal here: an isolated pruned vertex may have
-    # lost every color, which is exactly the tight K_1 case
-    if any(len(L[v]) != g.degree(v) for v in range(g.n)):
-        return False
-    for blk in _bruteforce_blocks(g):
-        sub, _ = g.induced(blk)
-        if sub.is_complete():
-            continue
-        if sub.is_cycle() and sub.n % 2 == 1:
-            continue
-        return False
-    return True

@@ -32,45 +32,6 @@ class ColoringFamily:
     members: tuple
     period: int
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.members) // self.period
-
-    def frequencies(self) -> dict:
-        counts: dict = {}
-        for phi in self.members:
-            for v, c in phi.items():
-                counts[(v, c)] = counts.get((v, c), 0) + 1
-        return counts
-
-    def verify(self, g: Graph, L: dict) -> None:
-        """Assert the full contract: proper, on-list, exact multiplicity."""
-        if not self.members or len(self.members) % self.period:
-            raise InternalInvariantError(
-                f"family size {len(self.members)} is not a multiple of "
-                f"{self.period}"
-            )
-        m = self.multiplicity
-        counts = self.frequencies()
-        for phi in self.members:
-            for v in range(g.n):
-                if phi.get(v) not in L[v]:
-                    raise InternalInvariantError(
-                        f"family member colors vertex {v} off-list"
-                    )
-            for u, v in g.edges:
-                if phi[u] == phi[v]:
-                    raise InternalInvariantError(
-                        f"family member is improper at edge ({u},{v})"
-                    )
-        for v in range(g.n):
-            for c in L[v]:
-                if counts.get((v, c), 0) != m:
-                    raise InternalInvariantError(
-                        f"color {c} appears {counts.get((v, c), 0)} times at "
-                        f"vertex {v}, expected {m}"
-                    )
-
 
 def best_of_family(
     g: Graph, L: dict, family: ColoringFamily, request: Request

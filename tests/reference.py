@@ -37,21 +37,37 @@ six colorings to each edge.
 lists tight.  A bad component (every block a clique or an odd cycle) is
 now searched by the oracle's frontier sweep, which must return exactly
 its coloring, or Infeasible where it finds none.
+
+`check_family` checks the contract of a coloring family: every member
+is a proper on-list coloring, and each (vertex, list color) pair
+appears in exactly |members|/period members.
+
+`bruteforce_bad_component` decides whether a component is bad from an
+independent block finder that tries every vertex subset;
+`maxdeg.classify_components` must flag the same components.
+
+`exact_game_connectivity` (the worst requested set's best removable
+fraction, over all subsets), `removable_ratio`, `leaf_ratio` and
+`game_connectivity_by_trees` (over all spanning trees) are the game
+connectivity that the degeneracy solver's certified fraction bounds
+from below, by brute force at desk scale.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
-from typing import Optional
+from itertools import combinations, permutations
+from typing import Iterable, Optional
 
 from flexicolor.errors import (
+    BudgetExceededError,
     FormatError,
     InternalInvariantError,
     PreconditionError,
 )
 from flexicolor.graph import Graph, KTreeOrder, TreedepthForest
 from flexicolor.cli import RESULT_HEADER
+from flexicolor.degeneracy import _UnionFind
 from flexicolor.instances import FORMAT_HEADER, InstanceFile, format_fraction
 from flexicolor.listcolor import Request, check_coloring
 from flexicolor.maxdeg import classify_components
@@ -579,3 +595,241 @@ def reference_backtrack_coloring(g: Graph, L: dict) -> Optional[dict]:
         return False
 
     return dict(color) if rec(0) else None
+
+
+def check_family(g: Graph, L: dict, family: ColoringFamily) -> dict:
+    """Raise unless every member is a proper on-list coloring and each
+    (vertex, list color) pair appears in exactly |members|/period
+    members; return how often each pair appears."""
+    members, period = family.members, family.period
+    if not members or len(members) % period:
+        raise InternalInvariantError(
+            f"family size {len(members)} is not a multiple of {period}"
+        )
+    counts: dict = {}
+    for phi in members:
+        for v in range(g.n):
+            if phi.get(v) not in L[v]:
+                raise InternalInvariantError(
+                    f"family member colors vertex {v} off-list"
+                )
+        for u, v in g.edges:
+            if phi[u] == phi[v]:
+                raise InternalInvariantError(
+                    f"family member is improper at edge ({u},{v})"
+                )
+        for v, c in phi.items():
+            counts[(v, c)] = counts.get((v, c), 0) + 1
+    m = len(members) // period
+    for v in range(g.n):
+        for c in L[v]:
+            if counts.get((v, c), 0) != m:
+                raise InternalInvariantError(
+                    f"color {c} appears {counts.get((v, c), 0)} times at "
+                    f"vertex {v}, expected {m}"
+                )
+    return counts
+
+
+def _bruteforce_blocks(g: Graph) -> list:
+    """Blocks as maximal 2-connected-ish vertex sets, from first principles.
+
+    A candidate set is a block iff it induces a connected subgraph with
+    no cut vertex, uses at least one edge (or is a single vertex in an
+    edgeless graph), and no strict superset does the same.
+    """
+    if g.n == 1:
+        return [(0,)]
+    candidates = []
+    vs = list(range(g.n))
+    for mask in range(1, 1 << g.n):
+        sub_vs = [v for v in vs if mask >> v & 1]
+        if len(sub_vs) < 2:
+            continue
+        sub, _ = g.induced(sub_vs)
+        if not sub.is_connected() or sub.m == 0:
+            continue
+        if len(sub_vs) == 2:
+            candidates.append(tuple(sub_vs))
+            continue
+        has_cut = False
+        for i in range(sub.n):
+            rest, _ = sub.induced([x for x in range(sub.n) if x != i])
+            if not rest.is_connected():
+                has_cut = True
+                break
+        if not has_cut:
+            candidates.append(tuple(sub_vs))
+    blocks = [
+        c
+        for c in candidates
+        if not any(set(c) < set(d) for d in candidates if d != c)
+    ]
+    return sorted(blocks)
+
+
+def bruteforce_bad_component(g: Graph, L: dict) -> bool:
+    """Recompute the bad-component definition from scratch.
+
+    Bad means every list is tight to the degree and every block induces
+    a clique or an odd cycle.  Uses an independent block finder so it
+    cross-validates the solver-side classification.
+    """
+    if g.n > 16:
+        raise PreconditionError(f"brute-force block finder capped at 16, got {g.n}")
+    g.require_connected()
+    # empty lists are legal here: an isolated pruned vertex may have
+    # lost every color, which is exactly the tight K_1 case
+    if any(len(L[v]) != g.degree(v) for v in range(g.n)):
+        return False
+    for blk in _bruteforce_blocks(g):
+        sub, _ = g.induced(blk)
+        if sub.is_complete():
+            continue
+        if sub.is_cycle() and sub.n % 2 == 1:
+            continue
+        return False
+    return True
+
+
+def _connected_mask(adj_masks: list, mask: int) -> bool:
+    if mask == 0:
+        return False
+    start = (mask & -mask).bit_length() - 1
+    seen = 1 << start
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        new = adj_masks[v] & mask & ~seen
+        while new:
+            b = new & -new
+            seen |= b
+            stack.append(b.bit_length() - 1)
+            new &= ~b
+    return seen == mask
+
+
+def exact_game_connectivity(g: Graph, cap: int = 16) -> tuple:
+    """Worst case over requested sets of the best removable fraction.
+
+    A subset is removable when the rest of the graph stays connected and
+    every removed vertex keeps an outside neighbor.  Returns the value
+    and one minimizing requested set.
+    """
+    g.require_connected()
+    n = g.n
+    if n > cap:
+        raise BudgetExceededError(f"exact search capped at {cap} vertices, got {n}")
+    if n == 0:
+        raise PreconditionError("empty graph")
+    adj_masks = [
+        sum(1 << u for u in g.neighbors(v)) for v in range(n)
+    ]
+    full = (1 << n) - 1
+    valid = [False] * (1 << n)
+    valid[0] = True
+    for m in range(1, 1 << n):
+        rest = full & ~m
+        if rest == 0 or not _connected_mask(adj_masks, rest):
+            continue
+        ok = True
+        mm = m
+        while mm:
+            b = mm & -mm
+            v = b.bit_length() - 1
+            if not (adj_masks[v] & rest):
+                ok = False
+                break
+            mm &= ~b
+        valid[m] = ok
+    best = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        pc = m.bit_count()
+        if valid[m]:
+            best[m] = pc
+        mm = m
+        hi = 0
+        while mm:
+            b = mm & -mm
+            hi = max(hi, best[m & ~b])
+            mm &= ~b
+        best[m] = max(best[m], hi)
+    kappa = None
+    witness = None
+    for m in range(1, 1 << n):
+        val = Fraction(best[m], m.bit_count())
+        if kappa is None or val < kappa:
+            kappa = val
+            witness = m
+    ws = tuple(v for v in range(n) if witness >> v & 1)
+    return kappa, ws
+
+
+def removable_ratio(g: Graph, R: Iterable[int]) -> Fraction:
+    """Best fraction of R removable while keeping the rest connected and
+    every removed vertex anchored outside.  Searches subsets of R only."""
+    g.require_connected()
+    R = sorted(set(R))
+    if not R:
+        raise PreconditionError("requested set must be non-empty")
+    for size in range(len(R), 0, -1):
+        for sub in combinations(R, size):
+            rest = [v for v in range(g.n) if v not in sub]
+            if not rest:
+                continue
+            rg, _ = g.induced(rest)
+            if not rg.is_connected():
+                continue
+            outside = set(rest)
+            if all(any(u in outside for u in g.neighbors(v)) for v in sub):
+                return Fraction(size, len(R))
+    return Fraction(0)
+
+
+def leaf_ratio(g: Graph, R: Iterable[int]) -> Fraction:
+    """Best fraction of R realizable as leaves of a spanning tree,
+    by enumerating spanning trees outright."""
+    R = set(R)
+    if not R:
+        raise PreconditionError("requested set must be non-empty")
+    best = 0
+    for leaves in _leaf_sets(g):
+        best = max(best, len(R & leaves))
+    return Fraction(best, len(R))
+
+
+def _leaf_sets(g: Graph) -> set:
+    """Leaf sets of all spanning trees (deduplicated)."""
+    if g.n == 1:
+        return {frozenset([0])}
+    out = set()
+    edges = g.edges
+    for subset in combinations(range(len(edges)), g.n - 1):
+        uf = _UnionFind(g.n)
+        ok = True
+        deg = [0] * g.n
+        for i in subset:
+            u, v = edges[i]
+            if not uf.union(u, v):
+                ok = False
+                break
+            deg[u] += 1
+            deg[v] += 1
+        if ok:
+            out.add(frozenset(v for v in range(g.n) if deg[v] == 1))
+    return out
+
+
+def game_connectivity_by_trees(g: Graph, cap: int = 8) -> Fraction:
+    """Spanning-tree formulation of game connectivity, for cross-checks."""
+    g.require_connected()
+    if g.n > cap:
+        raise BudgetExceededError(f"tree enumeration capped at {cap} vertices")
+    masks = [sum(1 << v for v in ls) for ls in _leaf_sets(g)]
+    kappa = None
+    for m in range(1, 1 << g.n):
+        best = max((m & lm).bit_count() for lm in masks)
+        val = Fraction(best, m.bit_count())
+        if kappa is None or val < kappa:
+            kappa = val
+    return kappa

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -11,17 +10,20 @@ from flexicolor.degeneracy import (
     DegeneracyOrdering,
     Hypergraph,
     epsilon_value,
-    exact_game_connectivity,
     flexible_degeneracy_order,
-    game_connectivity_by_trees,
     hypergraph_spanning_set,
     is_three_connected,
     is_three_edge_connected,
-    leaf_ratio,
     ordering_from_tree,
-    removable_ratio,
 )
 from flexicolor.instances import fig_triplet_cover, random_three_connected
+from linecount import lines_run
+from reference import (
+    exact_game_connectivity,
+    game_connectivity_by_trees,
+    leaf_ratio,
+    removable_ratio,
+)
 
 
 def brute_three_edge_connected(h):
@@ -296,27 +298,14 @@ class TestThreeConnected:
         assert not is_three_connected(g) and not brute_three_connected(g)
 
     def test_work_about_quadratic(self):
-        def lines_run(n):
-            """Python lines that is_three_connected runs, callees included:
-            a count of its work that does not depend on the host."""
-            g = random_three_connected(1, n).g
-            count = 0
-
-            def tracer(frame, event, arg):
-                nonlocal count
-                if event == "line":
-                    count += 1
-                return tracer
-
-            previous = sys.gettrace()
-            sys.settrace(tracer)
-            try:
-                assert is_three_connected(g)
-            finally:
-                sys.settrace(previous)
+        def work(n):
+            count, connected = lines_run(
+                is_three_connected, random_three_connected(1, n).g
+            )
+            assert connected
             return count
 
         # twice the vertices: one low-link pass per vertex does about 4
         # times the work, one connectivity check per pair about 8 times
-        ratio = lines_run(160) / lines_run(80)
+        ratio = work(160) / work(80)
         assert ratio < 5, ratio

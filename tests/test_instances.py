@@ -16,7 +16,6 @@ from flexicolor.instances import (
     fig_diamond,
     fig_triplet_cover,
     parse,
-    parse_dimacs,
     random_bounded_degree,
     random_ktree,
     random_three_connected,
@@ -148,26 +147,12 @@ class TestParserDiagnostics:
             parse(broken)
 
 
-class TestDimacs:
-    def test_parse_and_map_ids(self):
-        g = parse_dimacs("c comment\np edge 3 2\ne 1 2\ne 2 3\n")
-        assert g.n == 3 and g.edges == ((0, 1), (1, 2))
-
-    def test_edge_count_mismatch(self):
-        with pytest.raises(FormatError, match="announces"):
-            parse_dimacs("p edge 3 5\ne 1 2\n")
-
-    def test_unknown_line(self):
-        with pytest.raises(FormatError):
-            parse_dimacs("p edge 2 1\nq 1 2\n")
-
-
 class TestFixtures:
     def test_diamond_matches_figure(self):
         inst = fig_diamond()
         assert inst.g.n == 4 and inst.g.m == 5
         assert inst.L == {0: {1, 2}, 1: {1, 2, 3}, 2: {1, 2, 3}, 3: {1, 3}}
-        assert inst.request.is_widespread(inst.g)
+        assert inst.request.domain() == set(range(inst.g.n))
         assert optimal_satisfaction(inst.g, inst.L, inst.request).optimum == 0
 
     def test_cycle_fixture_zero_optimum(self):

@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,8 +18,9 @@ from flexicolor.listcolor import (
     satisfied_amount,
     validate_lists,
 )
-from flexicolor.oracle import bruteforce_bad_component, is_degree_choosable_here
-from reference import reference_backtrack_coloring
+from flexicolor.oracle import optimal_satisfaction
+from linecount import lines_run
+from reference import bruteforce_bad_component, reference_backtrack_coloring
 
 
 def cycle(k):
@@ -149,11 +149,6 @@ class TestValidation:
             with pytest.raises(PreconditionError) as err:
                 request.validate(g, L)
             assert str(err.value) == message
-
-    def test_widespread(self):
-        g = Graph(2, [(0, 1)])
-        assert Request("unweighted", prefs={0: 1, 1: 1}).is_widespread(g)
-        assert not Request("unweighted", prefs={0: 1}).is_widespread(g)
 
     def test_check_coloring_names_offender(self):
         g = Graph(2, [(0, 1)])
@@ -296,7 +291,7 @@ class TestDegreeChoosable:
         L[29] = {1}
         # path blocks are cliques (edges) and all lists are tight
         with pytest.raises(BudgetExceededError):
-            degree_choosable_coloring(g, L, component_cap=20)
+            degree_choosable_coloring(g, L)
 
     def test_agrees_with_oracle_on_sweep(self):
         def agrees(g, L):
@@ -305,7 +300,9 @@ class TestDegreeChoosable:
                 out = degree_choosable_coloring(g, L)
             except PreconditionError:
                 return False
-            truth = is_degree_choosable_here(g, L, budget=10**9)
+            truth = optimal_satisfaction(
+                g, L, Request("unweighted"), 10**9
+            ).colorable
             if isinstance(out, Infeasible):
                 assert not truth
             else:
@@ -345,21 +342,15 @@ class TestDegreeChoosable:
             assert out == expected
 
     def test_tight_prism_components_scale_linearly(self):
-        def best_of_three(n):
-            g = prism(n)
+        def work(n):
             L = {v: {1, 2, 3} for v in range(n)}
-            best = float("inf")
-            for _ in range(3):
-                start = time.process_time()
-                precolor_and_extend(g, L, {0: 1})
-                best = min(best, time.process_time() - start)
-            return best
+            return lines_run(precolor_and_extend, prism(n), L, {0: 1})[0]
 
         # fixing vertex 0 leaves one component with every list tight,
         # colored by the construction; a search would blow up or recurse.
-        # The mean ratio over two doublings is about 2 for linear cost and
-        # 4 for quadratic; one doubling alone is within the host's noise.
-        small, large = best_of_three(2000), best_of_three(8000)
+        # The mean ratio over two doublings is about 2 for linear work and
+        # 4 for quadratic.
+        small, large = work(2000), work(8000)
         assert (large / small) ** 0.5 < 3, (small, large)
 
 

@@ -9,11 +9,8 @@ from flexicolor.errors import BudgetExceededError
 from flexicolor.graph import Graph
 from flexicolor.instances import InstanceFile, serialize, two_cliques_matching
 from flexicolor.listcolor import Request, check_coloring, satisfied_amount
-from flexicolor.oracle import (
-    bruteforce_bad_component,
-    is_degree_choosable_here,
-    optimal_satisfaction,
-)
+from flexicolor.oracle import optimal_satisfaction
+from reference import bruteforce_bad_component
 
 
 def reference_dfs(g: Graph, L: dict, request: Request) -> tuple:
@@ -167,7 +164,8 @@ class TestFrontierSweep:
         assert res.optimum == optimum and type(res.optimum) is type(optimum)
         assert res.coloring == coloring
         assert res.enumerated == enumerated
-        assert is_degree_choosable_here(g, L) == (enumerated > 0)
+        colorable = optimal_satisfaction(g, L, Request("unweighted")).colorable
+        assert colorable == (enumerated > 0)
 
     def test_two_cliques_matching_count(self):
         inst = two_cliques_matching(5)
@@ -186,9 +184,9 @@ class TestFrontierSweep:
 
     def test_long_path_is_colorable(self):
         g, L = path_with_singletons(3000)
-        assert is_degree_choosable_here(g, L)
+        assert optimal_satisfaction(g, L, Request("unweighted")).colorable
         L[1] = {1}
-        assert not is_degree_choosable_here(g, L)
+        assert not optimal_satisfaction(g, L, Request("unweighted")).colorable
 
 
 class TestBadComponentBruteforce:
@@ -232,6 +230,6 @@ class TestBadComponentBruteforce:
             if any(not L[v] for v in range(n)):
                 continue
             if not bruteforce_bad_component(g, L):
-                assert is_degree_choosable_here(g, L)
+                assert optimal_satisfaction(g, L, Request("unweighted")).colorable
                 checked += 1
         assert checked > 10

@@ -22,6 +22,7 @@ from flexicolor.treewidth import (
 )
 from reference import (
     check_admissible_everywhere,
+    check_family,
     is_admissible,
     reference_extend_values,
     reference_seed_edge,
@@ -34,7 +35,7 @@ class TestTreePairFamily:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         L = {0: {1, 2}, 1: {1, 2}, 2: {2, 3}, 3: {1, 3}}
         fam = tree_pair_family(g, L)
-        fam.verify(g, L)
+        check_family(g, L, fam)
         assert len(fam.members) == 2 and fam.period == 2
 
     def test_random_trees(self):
@@ -44,7 +45,7 @@ class TestTreePairFamily:
             g = Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
             L = {v: set(rng.sample(range(1, 6), 2)) for v in range(n)}
             fam = tree_pair_family(g, L)
-            fam.verify(g, L)
+            check_family(g, L, fam)
 
 
 class TestSixColoringFamily:
@@ -161,7 +162,7 @@ class TestSixColoringFamily:
     def test_two_tree_family_small(self):
         inst = random_ktree(0, 12, 2, list_size=3)
         fam = two_tree_family(inst.g, inst.ktree, inst.L)
-        fam.verify(inst.g, inst.L)
+        check_family(inst.g, inst.L, fam)
         check_admissible_everywhere(inst.g, inst.L, fam)
         assert len(fam.members) == 6 and fam.period == 3
 
@@ -292,10 +293,9 @@ class TestLambdaFamily:
     def test_counting_identity(self, lam):
         g, order, classes, L = make_lambda_instance(sum(lam), 8, lam)
         fam = lambda_family(g, order, lam, classes, L)
-        fam.verify(g, L)
+        counts = check_family(g, L, fam)
         assert len(fam.members) == family_size(lam)
         k = sum(lam) - 1
-        counts = fam.frequencies()
         for v in range(g.n):
             for c in L[v]:
                 assert counts[(v, c)] * (k + 1) == len(fam.members)
