@@ -16,6 +16,7 @@ from typing import Optional
 
 from .degeneracy import (
     DegeneracyOrdering,
+    certified_fraction as degeneracy_fraction,
     first_among_neighbors,
     flexible_degeneracy_order,
 )
@@ -41,6 +42,7 @@ from .instances import (
     serialize,
 )
 from .listcolor import satisfied_amount
+from .maxdeg import certified_fraction as maxdeg_fraction
 from .maxdeg import solve_unweighted, solve_weighted
 from .oracle import DEFAULT_BUDGET, optimal_satisfaction
 from .treedepth import TdInstance, derandomized_coloring
@@ -158,13 +160,13 @@ def _solve(args) -> int:
         _emit(lines, args.out)
         return 0 if met else 1
 
-    certified = _certified_fraction(method, inst)
     if method in ("maxdeg", "maxdeg-weighted"):
         solver = solve_unweighted if method == "maxdeg" else solve_weighted
         outcome = solver(g, L, request)
         coloring, satisfied = outcome.coloring, outcome.satisfied
         certified, total = outcome.certified_fraction, outcome.request_total
     else:
+        certified = _certified_fraction(method, inst)
         if method == "two-tree":
             family = two_tree_family(g, inst.ktree, L)
             coloring = best_of_family(g, L, family, request)
@@ -315,16 +317,28 @@ def _parse_result(text: str) -> dict:
     return doc
 
 
-def _certified_fraction(method: str, inst: InstanceFile) -> Optional[Fraction]:
-    """The fraction `method` certifies on inst, for solve and verify.
+def _certified_fraction(method: str, inst: InstanceFile) -> Fraction:
+    """The fraction `method` certifies on inst, for verify, and for solve
+    with the methods whose solver does not count it.
 
-    None for maxdeg, maxdeg-weighted and degeneracy: their fraction
-    depends on the color count of a coloring (chi-hat) that the result
-    does not record, so verify takes the stated value for them.  Raises
-    when inst lacks the order or forest the method needs.
+    For maxdeg, maxdeg-weighted and degeneracy it is counted from the
+    proper coloring the solver takes its independent set from, made
+    once, with no solve.
+    Raises when inst lacks the order or forest the method needs, when
+    the request is not of the method's kind, or when the coloring the
+    fraction is counted from does not exist.
     """
     if method not in METHODS:
         raise PreconditionError(f"result names unknown method {method!r}")
+    request = inst.request
+    if method == "degeneracy":
+        return degeneracy_fraction(inst.g, request.domain())[0]
+    if method in ("maxdeg", "maxdeg-weighted"):
+        if (method == "maxdeg") != (request.kind == "unweighted"):
+            raise PreconditionError(
+                f"method {method} does not solve {request.kind} requests"
+            )
+        return maxdeg_fraction(inst.g, inst.L, request)[0]
     if method == "two-tree":
         if inst.ktree is None or inst.ktree.k != 2:
             raise PreconditionError(
@@ -337,16 +351,15 @@ def _certified_fraction(method: str, inst: InstanceFile) -> Optional[Fraction]:
                 "method lambda needs an instance with a k-tree order"
             )
         return Fraction(1, inst.ktree.k + 1)
-    if method == "treedepth":
-        if inst.forest is None:
-            raise PreconditionError(
-                "method treedepth needs an instance with a treedepth forest"
-            )
-        k = inst.forest.height()
-        if inst.request.kind == "weighted":
-            k *= max(len(inst.L[v]) for v in range(inst.g.n))
-        return Fraction(1, k)
-    return None
+    # treedepth
+    if inst.forest is None:
+        raise PreconditionError(
+            "method treedepth needs an instance with a treedepth forest"
+        )
+    k = inst.forest.height()
+    if request.kind == "weighted":
+        k *= max(len(inst.L[v]) for v in range(inst.g.n))
+    return Fraction(1, k)
 
 
 def _verify(args) -> int:
@@ -387,12 +400,12 @@ def _verify(args) -> int:
             f"stated total {doc['total']} differs from the recomputed {total}"
         )
     certified = _certified_fraction(doc["method"], inst)
-    if certified is not None and certified != doc["certified"]:
+    if certified != doc["certified"]:
         raise PreconditionError(
             f"stated certified fraction {doc['certified']} differs from the "
             f"recomputed {certified}"
         )
-    met = satisfied >= doc["certified"] * total
+    met = satisfied >= certified * total
     if doc.get("bound_met", met) != met:
         raise PreconditionError(
             f"stated bound-met {'yes' if doc['bound_met'] else 'no'} differs "

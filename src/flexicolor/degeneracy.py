@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InternalInvariantError, PreconditionError
-from .graph import Graph, block_cut_tree
-from .maxdeg import _independent_with_count
+from .graph import Graph, block_cut_tree, proper_coloring
+from .maxdeg import best_class
 
 
 @dataclass(frozen=True)
@@ -426,6 +426,25 @@ class DegeneracyOutcome:
     trace: dict = field(default_factory=dict)
 
 
+def certified_fraction(g: Graph, R0: set) -> tuple:
+    """The fraction of the requested set R0 that flexible_degeneracy_order
+    certifies, the greedy coloring whose color count chi it is counted
+    from, and the vertex w the ordering ends with: eps(maxdeg)/(2 chi),
+    or 0 with no coloring (None) when R0 holds nothing but w.  w is the
+    least vertex below the maximum degree outside R0, or the least one
+    below it when R0 holds them all."""
+    delta = g.max_degree()
+    low = [v for v in range(g.n) if g.degree(v) < delta]
+    if not low:
+        raise PreconditionError("graph is regular; a lower-degree vertex is required")
+    outside = [v for v in low if v not in R0]
+    w = min(outside) if outside else min(low)
+    if not R0 - {w}:
+        return Fraction(0), None, w
+    coloring = proper_coloring(g, 1, "greedy")
+    return epsilon_value(delta) / (2 * len(set(coloring.values()))), coloring, w
+
+
 def flexible_degeneracy_order(g: Graph, R0: Iterable[int]) -> DegeneracyOutcome:
     """Degeneracy ordering putting a certified fraction of the requested
     vertices before all of their neighbors.
@@ -442,30 +461,25 @@ def flexible_degeneracy_order(g: Graph, R0: Iterable[int]) -> DegeneracyOutcome:
     delta = g.max_degree()
     if delta < 3:
         raise PreconditionError(f"maximum degree must be >= 3, got {delta}")
-    degs = [g.degree(v) for v in range(g.n)]
-    low = [v for v in range(g.n) if degs[v] < delta]
-    if not low:
-        raise PreconditionError("graph is regular; a lower-degree vertex is required")
+    certified, coloring, w = certified_fraction(g, R0)
     if not is_three_connected(g):
         raise PreconditionError("graph is not 3-connected")
-    if len(low) == 1 and R0 == set(low):
+    if R0 == {w} and all(g.degree(v) == delta for v in range(g.n) if v != w):
         raise PreconditionError(
             f"request consisting only of the unique low-degree vertex "
-            f"{low[0]} is excluded"
+            f"{w} is excluded"
         )
-    outside = [v for v in low if v not in R0]
-    w = min(outside) if outside else min(low)
-    R = R0 - {w}
-    eps = epsilon_value(delta)
 
-    if not R:
+    if coloring is None:
         tree = _spanning_tree_edges(g, w)
         ordering = ordering_from_tree(g, tree, set(), w)
         return DegeneracyOutcome(
-            ordering, 0, Fraction(0), len(R0), {"note": "empty request"}
+            ordering, 0, certified, len(R0), {"note": "empty request"}
         )
 
-    R_prime, chi_hat = _independent_with_count(g, R, 1, "greedy")
+    R_prime = best_class(coloring, R0 - {w})
+    chi_hat = len(set(coloring.values()))
+    eps = epsilon_value(delta)
 
     rest = [v for v in range(g.n) if v not in R_prime]
     sub, ids = g.induced(rest)
@@ -508,7 +522,6 @@ def flexible_degeneracy_order(g: Graph, R0: Iterable[int]) -> DegeneracyOutcome:
 
     ordering = ordering_from_tree(g, tree, R_pp, w)
     satisfied = len(ordering.first & R0)
-    certified = eps / (2 * chi_hat)
     if satisfied < certified * len(R0):
         raise InternalInvariantError(
             f"{satisfied} satisfied requests fall below the certified "

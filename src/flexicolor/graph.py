@@ -238,9 +238,6 @@ class BlockCutTree:
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
 
-    def all_blocks_clique_or_odd_cycle(self) -> bool:
-        return all(b.tag in ("clique", "odd-cycle") for b in self.blocks)
-
 
 def _block_tag(k: int, m: int) -> str:
     """Tag of a block with k vertices and m edges.  A block is a bridge
@@ -440,8 +437,8 @@ def choosable_coloring(g: Graph, lists) -> Optional[dict]:
 def _brooks_coloring(g: Graph) -> dict[int, int]:
     """Proper coloring with at most max_degree colors: the
     degree-choosable construction with every list range(max_degree),
-    after the parity coloring of paths and even cycles."""
-    g.require_connected()
+    after the parity coloring of paths and even cycles.  g must be
+    connected."""
     delta = g.max_degree()
     if g.is_complete():
         raise BrooksObstructionError("complete graph")

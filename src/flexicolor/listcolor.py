@@ -1,7 +1,9 @@
 """List assignments, color requests, satisfaction accounting, and the
-degree-choosable coloring shared by all solvers: constructed as the
-degree-choosability proof builds it, with only bad components searched,
-by the oracle's frontier sweep.
+degree-choosable coloring of the components a precolored set leaves,
+constructed as the degree-choosability proof builds it, with no search.
+The construction has no coloring exactly when a component is bad (every
+list tight, every block a clique or an odd cycle); the solvers decide
+badness by it alone.
 
 A list assignment is a plain dict mapping each vertex to a set of
 non-negative integer colors; a coloring is a dict vertex -> color.
@@ -13,11 +15,10 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 from operator import attrgetter, eq, floordiv, itemgetter, mul
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .graph import Graph, choosable_coloring
-from .oracle import _sweep
 
 ListAssignment = dict
 
@@ -203,58 +204,27 @@ def reduce_to_unique(request: Request, L: dict) -> Request:
 # Degree-choosable coloring
 
 
-# the most vertices of a bad component that the frontier sweep searches
-COMPONENT_CAP = 20
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """No coloring: the instance is a bad component with no escape."""
-
-    component: tuple
-    reason: str
-
-
-def degree_choosable_coloring(g: Graph, L: dict) -> Union[dict, Infeasible]:
-    """Proper on-list coloring of a connected graph with |L(v)| >= deg(v).
-
-    The coloring is constructed as the degree-choosability proof builds
-    it (graph.choosable_coloring).  Only a bad component (all lists
-    tight, every block a clique or an odd cycle) may have none; it is
-    searched by the oracle's frontier sweep, which returns the
-    lexicographically first coloring in smallest-list-first order, or
-    Infeasible.  g and L must pass InstanceFile(g, L).validate().
+def degree_choosable_coloring(g: Graph, L: dict) -> Optional[dict]:
+    """Proper on-list coloring of a connected graph with |L(v)| >= deg(v),
+    constructed as the degree-choosability proof builds it
+    (graph.choosable_coloring); None exactly when the graph is a bad
+    component: every list tight and every block a clique or an odd cycle.
     """
-    g.require_connected()
-    for v in range(g.n):
-        if len(L[v]) < g.degree(v):
-            raise PreconditionError(
-                f"vertex {v} has list size {len(L[v])} below degree {g.degree(v)}"
-            )
-    color = choosable_coloring(g, [sorted(L[v]) for v in range(g.n)])
-    if color is not None:
-        return color
-    if g.n > COMPONENT_CAP:
-        raise BudgetExceededError(
-            f"bad component on {g.n} vertices exceeds cap {COMPONENT_CAP}"
-        )
-    found = _sweep(g, L, {})[2]
-    if found is not None:
-        return found
-    return Infeasible(
-        component=tuple(range(g.n)),
-        reason="all lists tight and every block a clique or odd cycle; "
-        "exhaustive search found no coloring",
-    )
+    return choosable_coloring(g, [sorted(L[v]) for v in range(g.n)])
 
 
-def precolor_and_extend(g: Graph, L: dict, fixed: dict) -> Union[dict, Infeasible]:
-    """Color the fixed vertices as given and extend to the whole graph.
+def precolor_and_extend(g: Graph, L: dict, fixed: dict) -> list:
+    """Color the fixed vertices as given and extend to each component of
+    g minus them.
 
     Fixed vertices must be independent with on-list colors.  Their
-    colors are deleted from neighbors' lists and each remaining
-    component is colored by degree_choosable_coloring.  g and L must
-    pass InstanceFile(g, L).validate().
+    colors are deleted from neighbors' lists, which must keep at least
+    their degree in g minus the fixed vertices.  Returns one
+    (vertices, subgraph, pruned lists, coloring) per component, ordered
+    by smallest vertex: its sorted vertices, the subgraph they induce
+    (vertex i standing for the i-th of them), and the pruned lists and
+    degree_choosable_coloring keyed by vertex, the coloring None when
+    the component is bad.  g and L must pass InstanceFile(g, L).validate().
     """
     for v, c in fixed.items():
         if not (0 <= v < g.n):
@@ -263,32 +233,22 @@ def precolor_and_extend(g: Graph, L: dict, fixed: dict) -> Union[dict, Infeasibl
             raise PreconditionError(
                 f"fixed color {c} at vertex {v} is not in its list"
             )
-    fixed_set = set(fixed)
-    for u, v in g.edges:
-        if u in fixed_set and v in fixed_set:
-            raise PreconditionError(
-                f"fixed vertices {u} and {v} are adjacent"
-            )
-    rest = [v for v in range(g.n) if v not in fixed_set]
-    if not rest:
-        return dict(fixed)
-    pruned = {}
-    for v in rest:
-        removed = {fixed[u] for u in g.neighbors(v) if u in fixed_set}
-        pruned[v] = set(L[v]) - removed
-        if not pruned[v]:
-            raise PreconditionError(
-                f"vertex {v} has no colors left after fixing its neighbors"
-            )
-    out = dict(fixed)
-    for comp_ids, comp_g in g.components_without(fixed_set):
-        comp_L = {i: pruned[v] for i, v in enumerate(comp_ids)}
-        res = degree_choosable_coloring(comp_g, comp_L)
-        if isinstance(res, Infeasible):
-            return Infeasible(
-                component=tuple(comp_ids[i] for i in res.component),
-                reason=res.reason,
-            )
-        for i, c in res.items():
-            out[comp_ids[i]] = c
+    for v in sorted(fixed):
+        for u in g.neighbors(v):
+            if u > v and u in fixed:
+                raise PreconditionError(f"fixed vertices {v} and {u} are adjacent")
+    out = []
+    for ids, sub in g.components_without(fixed):
+        lists = {}
+        for i, v in enumerate(ids):
+            lists[v] = set(L[v]) - {fixed[u] for u in g.neighbors(v) if u in fixed}
+            if len(lists[v]) < sub.degree(i):
+                raise PreconditionError(
+                    f"vertex {v} keeps {len(lists[v])} colors after fixing its "
+                    f"neighbors, below its degree {sub.degree(i)} among the rest"
+                )
+        coloring = degree_choosable_coloring(sub, [lists[v] for v in ids])
+        if coloring is not None:
+            coloring = {ids[i]: c for i, c in coloring.items()}
+        out.append((ids, sub, lists, coloring))
     return out

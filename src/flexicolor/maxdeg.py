@@ -1,11 +1,13 @@
 """Flexibility solvers for bounded-degree graphs.
 
 Two pipelines over the same skeleton: pick an independent subset of the
-requested vertices, prune lists, destroy bad components by un-fixing a
-few requests, then precolor the survivors and extend.  The unweighted
-solver certifies a 1/(6 maxdeg) fraction, the weighted one
-1/(2 maxdeg^4) via distance-3 independence and a unique-weight
-reduction.
+requested vertices, precolor it and extend to the rest by the
+degree-choosable construction, and while a component has no such
+extension (a bad component) un-fix a request next to it.  One pass over
+the components both classifies and colors them, and the last pass gives
+the coloring.  The unweighted solver certifies a 1/(6 maxdeg) fraction,
+the weighted one 1/(2 maxdeg^4) via distance-3 independence and a
+unique-weight reduction.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from typing import Optional, Union
 from .errors import InternalInvariantError, PreconditionError
 from .graph import Graph, block_cut_tree, proper_coloring
 from .listcolor import (
-    Infeasible,
     Request,
+    degree_choosable_coloring,
     exact_sum,
     precolor_and_extend,
     reduce_to_unique,
@@ -27,14 +29,18 @@ from .listcolor import (
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """One component of g minus the precolored set, with pruned lists."""
+    """One component of g minus the precolored set, with pruned lists and
+    their degree-choosable coloring, None when the component is bad."""
 
     vertices: tuple
     pruned_lists: dict
-    bad: bool
-    tight: bool
-    block_tags: tuple  # ((block vertex tuple, tag), ...)
-    terminal_blocks: tuple  # vertex tuples of terminal blocks
+    coloring: Optional[dict]
+    block_tags: tuple  # ((block vertex tuple, tag), ...) if bad, else ()
+    terminal_blocks: tuple  # vertex tuples of terminal blocks if bad, else ()
+
+    @property
+    def bad(self) -> bool:
+        return self.coloring is None
 
 
 @dataclass
@@ -71,59 +77,39 @@ def _check_solver_preconditions(g: Graph, L: dict) -> int:
 
 
 def classify_components(g: Graph, L: dict, S: set, prefs: dict) -> list:
-    """Components of g minus S with pruned lists and bad/good flags.
+    """Components of g minus S, with S precolored by prefs, each colored
+    by precolor_and_extend.
 
-    A component is bad when every pruned list is tight to the degree
-    inside the component and every block is a clique or an odd cycle.
+    A component is bad when the degree-choosable construction has no
+    coloring of it: every pruned list is tight to the degree inside the
+    component and every block is a clique or an odd cycle.  Only bad
+    components get their blocks.
     """
     for r in S:
         if r not in prefs:
             raise PreconditionError(f"precolored vertex {r} has no requested color")
-        if prefs[r] not in L[r]:
-            raise PreconditionError(
-                f"requested color {prefs[r]} at vertex {r} is not in its list"
-            )
     reports = []
-    for ids, comp_g in g.components_without(S):
+    for ids, sub, lists, coloring in precolor_and_extend(
+        g, L, {r: prefs[r] for r in S}
+    ):
         orig = tuple(ids)
-        comp_lists = {v: _pruned_list(g, L, S, prefs, v) for v in orig}
-        tight = _tightness(comp_g, orig, comp_lists)
-        bct = block_cut_tree(comp_g)
-        block_tags = tuple(
-            (tuple(orig[i] for i in b.vertices), b.tag) for b in bct.blocks
-        )
-        terminal = tuple(
-            tuple(orig[i] for i in b.vertices) for b in bct.blocks if b.terminal
-        )
-        bad = tight and bct.all_blocks_clique_or_odd_cycle()
-        reports.append(
-            ComponentReport(orig, comp_lists, bad, tight, block_tags, terminal)
-        )
+        block_tags = terminal = ()
+        if coloring is None:
+            blocks = block_cut_tree(sub).blocks
+            block_tags = tuple(
+                (tuple(orig[i] for i in b.vertices), b.tag) for b in blocks
+            )
+            terminal = tuple(
+                tuple(orig[i] for i in b.vertices) for b in blocks if b.terminal
+            )
+        reports.append(ComponentReport(orig, lists, coloring, block_tags, terminal))
     return reports
 
 
-def _pruned_list(
-    g: Graph, L: dict, S: set, prefs: dict, v: int, freed: Optional[int] = None
-) -> frozenset:
+def _pruned_list(g: Graph, L: dict, S: set, prefs: dict, v: int, freed: int) -> set:
     """L(v) minus the requested colors of v's neighbors in S other than
     `freed`."""
-    return frozenset(
-        set(L[v]) - {prefs[r] for r in g.neighbors(v) if r in S and r != freed}
-    )
-
-
-def _tightness(comp_g: Graph, orig: tuple, comp_lists: dict) -> bool:
-    """Whether every pruned list of a component is tight to its degree
-    there; a list below that degree is a bug."""
-    tight = True
-    for i, v in enumerate(orig):
-        size, deg = len(comp_lists[v]), comp_g.degree(i)
-        if size < deg:
-            raise InternalInvariantError(
-                f"pruned list at vertex {v} fell below its component degree"
-            )
-        tight = tight and size == deg
-    return tight
+    return set(L[v]) - {prefs[r] for r in g.neighbors(v) if r in S and r != freed}
 
 
 def _check_terminal_counting(
@@ -165,8 +151,8 @@ def _local_b_values(
     g - Rpp: the bad components next to r, less one if the component r
     forms with them once it leaves Rpp is bad.  Every other component
     keeps its vertices and pruned lists, so this equals the count found
-    by classifying the whole graph with and without r; the merged
-    component is classified only when it can be tight."""
+    by classifying the whole graph with and without r; the construction
+    is asked about the merged component only when it can be tight."""
     owner = {}
     slack = []  # per report, its vertices whose pruned list has room
     for i, rep in enumerate(reports):
@@ -189,27 +175,36 @@ def _local_b_values(
             for i in near
         ):
             ids, sub = g.component_without(r, Rpp)
-            orig = tuple(ids)
-            lists = {v: _pruned_list(g, L, Rpp, prefs, v, r) for v in orig}
-            if _tightness(sub, orig, lists) and (
-                block_cut_tree(sub).all_blocks_clique_or_odd_cycle()
-            ):
+            lists = [_pruned_list(g, L, Rpp, prefs, v, r) for v in ids]
+            if degree_choosable_coloring(sub, lists) is None:
                 b -= 1
         bs[r] = b
     return bs
 
 
-def _independent_with_count(
-    g: Graph,
-    R: set,
-    distance: int,
-    mode: str,
-    weights: Optional[dict] = None,
-) -> tuple:
-    """Best color class of a proper coloring of g^distance restricted to
-    R, together with the number of colors the coloring used."""
-    coloring = proper_coloring(g, distance, mode)
-    chi_hat = len(set(coloring.values()))
+def certified_fraction(g: Graph, L: dict, request: Request) -> tuple:
+    """The fraction of the request's total that solve_unweighted (for an
+    unweighted request) or solve_weighted (for a weighted one)
+    certifies, and the proper coloring whose color count chi it is
+    counted from: 1/(6 chi) for the Brooks coloring of g, 1/(2 chi) for
+    the greedy coloring of the cube of g, divided by the longest list
+    for a general weighted request.  Nothing requested certifies 0,
+    with no coloring (None)."""
+    if not request.domain():
+        return Fraction(0), None
+    if request.kind == "unweighted":
+        coloring = proper_coloring(g, 1, "brooks")
+        return Fraction(1, 6 * len(set(coloring.values()))), coloring
+    coloring = proper_coloring(g, 3, "greedy")
+    fraction = Fraction(1, 2 * len(set(coloring.values())))
+    if request.kind == "weighted":
+        fraction /= max(len(L[v]) for v in range(g.n))
+    return fraction, coloring
+
+
+def best_class(coloring: dict, R: set, weights: Optional[dict] = None) -> set:
+    """The color class of the coloring restricted to R with the most
+    vertices, or the most weight (tie: smallest color)."""
     classes: dict = {}
     for v in R:
         classes.setdefault(coloring[v], set()).add(v)
@@ -220,7 +215,7 @@ def _independent_with_count(
             classes.items(),
             key=lambda kv: (exact_sum(map(weights.__getitem__, kv[1])), -kv[0]),
         )
-    return set(best[1]), chi_hat
+    return best[1]
 
 
 def _finish(
@@ -228,25 +223,30 @@ def _finish(
     L: dict,
     prefs: dict,
     Rpp: set,
+    reports: list,
     request: Request,
     certified_fraction: Fraction,
     trace: dict,
 ) -> SolverOutcome:
-    fixed = {r: prefs[r] for r in Rpp}
-    res = precolor_and_extend(g, L, fixed)
-    if isinstance(res, Infeasible):
-        raise InternalInvariantError(
-            f"extension failed on component {res.component} although all "
-            "bad components were destroyed"
-        )
-    sat = satisfied_amount(g, L, res, request)
+    """The requested colors on Rpp merged with the colorings that
+    `reports` gives of the components of g - Rpp, checked against the
+    certified bound."""
+    coloring = {r: prefs[r] for r in Rpp}
+    for rep in reports:
+        if rep.bad:
+            raise InternalInvariantError(
+                f"extension failed on component {rep.vertices} although all "
+                "bad components were destroyed"
+            )
+        coloring.update(rep.coloring)
+    sat = satisfied_amount(g, L, coloring, request)
     total = request.total()
     if sat < certified_fraction * total:
         raise InternalInvariantError(
             f"satisfied amount {sat} fell below the certified bound "
             f"{certified_fraction} * {total}"
         )
-    return SolverOutcome(res, sat, certified_fraction, total, trace)
+    return SolverOutcome(coloring, sat, certified_fraction, total, trace)
 
 
 def solve_unweighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
@@ -259,14 +259,15 @@ def solve_unweighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
     if request.kind != "unweighted":
         raise PreconditionError("solve_unweighted expects an unweighted request")
     delta = _check_solver_preconditions(g, L)
-    prefs = dict(request.prefs)
-    R = set(prefs)
-    if not R:
-        trace = {"note": "empty request"}
-        return _finish(g, L, prefs, set(), request, Fraction(0), trace)
-
     # the preconditions exclude K_n and maxdeg < 3, so Brooks applies
-    R_prime, chi_hat = _independent_with_count(g, R, 1, "brooks")
+    certified, brooks = certified_fraction(g, L, request)
+    if brooks is None:
+        reports = classify_components(g, L, set(), {})
+        trace = {"note": "empty request"}
+        return _finish(g, L, {}, set(), reports, request, certified, trace)
+    prefs = dict(request.prefs)
+    R_prime = best_class(brooks, set(prefs))
+    chi_hat = len(set(brooks.values()))
     trace: dict = {"R_prime": sorted(R_prime), "chi_hat": chi_hat, "moves": []}
 
     Rpp = set(R_prime)
@@ -306,8 +307,7 @@ def solve_unweighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
     trace["R_pp"] = sorted(Rpp)
     if discharging is not None:
         trace["discharging"] = discharging
-    certified = Fraction(1, 6 * chi_hat)
-    return _finish(g, L, prefs, Rpp, request, certified, trace)
+    return _finish(g, L, prefs, Rpp, reports, request, certified, trace)
 
 
 def _discharging_diagnostics(g: Graph, reports: list, Rpp: set) -> dict:
@@ -360,23 +360,21 @@ def solve_weighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
     trace: dict = {}
     if request.kind == "weighted":
         unique = reduce_to_unique(request, L)
-        max_list = max(len(L[v]) for v in range(g.n))
-        reduction = Fraction(1, max_list)
         trace["reduced_from_general"] = True
     elif request.kind == "unique":
         unique = request
-        reduction = Fraction(1)
     else:
         raise PreconditionError("solve_weighted expects a weighted request")
 
+    certified, cube_coloring = certified_fraction(g, L, request)
+    if cube_coloring is None:
+        reports = classify_components(g, L, set(), {})
+        trace = {"note": "empty request"}
+        return _finish(g, L, {}, set(), reports, request, certified, trace)
     prefs = dict(unique.prefs)
     weights = dict(unique.weights)
-    R = set(prefs)
-    if not R:
-        trace = {"note": "empty request"}
-        return _finish(g, L, prefs, set(), request, Fraction(0), trace)
-
-    R_prime, chi3 = _independent_with_count(g, R, 3, "greedy", weights)
+    R_prime = best_class(cube_coloring, set(prefs), weights)
+    chi3 = len(set(cube_coloring.values()))
     trace.update(R_prime=sorted(R_prime), chi3=chi3)
     # distance-3 independence: no vertex outside R' sees two R' vertices
     for v in range(g.n):
@@ -423,5 +421,4 @@ def solve_weighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
         )
     trace["R_plus"] = sorted(R_plus)
     trace["R_pp"] = sorted(Rpp)
-    certified = reduction * Fraction(1, 2 * chi3)
-    return _finish(g, L, prefs, Rpp, request, certified, trace)
+    return _finish(g, L, prefs, Rpp, after, request, certified, trace)

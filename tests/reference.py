@@ -32,19 +32,14 @@ the two searches, one dict per member.  `is_admissible` and
 `check_admissible_everywhere` check the four conditions that tie the
 six colorings to each edge.
 
-`reference_backtrack_coloring` is the recursive search that
-`listcolor.degree_choosable_coloring` ran on every component with all
-lists tight.  A bad component (every block a clique or an odd cycle) is
-now searched by the oracle's frontier sweep, which must return exactly
-its coloring, or Infeasible where it finds none.
-
 `check_family` checks the contract of a coloring family: every member
 is a proper on-list coloring, and each (vertex, list color) pair
 appears in exactly |members|/period members.
 
 `bruteforce_bad_component` decides whether a component is bad from an
 independent block finder that tries every vertex subset;
-`maxdeg.classify_components` must flag the same components.
+`listcolor.degree_choosable_coloring` must return None on exactly
+these components, and `maxdeg.classify_components` flag them.
 
 `exact_game_connectivity` (the worst requested set's best removable
 fraction, over all subsets), `removable_ratio`, `leaf_ratio` and
@@ -574,27 +569,6 @@ def check_admissible_everywhere(g: Graph, L: dict, family: ColoringFamily) -> No
     for u, v in g.edges:
         if not is_admissible(phis, u, v, L[u], L[v]):
             raise InternalInvariantError(f"family not admissible at edge ({u},{v})")
-
-
-def reference_backtrack_coloring(g: Graph, L: dict) -> Optional[dict]:
-    """Complete search with fail-first ordering; None iff uncolorable."""
-    order = sorted(range(g.n), key=lambda v: (len(L[v]), v))
-    color: dict = {}
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        used = {color[u] for u in g.neighbors(v) if u in color}
-        for c in sorted(L[v]):
-            if c not in used:
-                color[v] = c
-                if rec(i + 1):
-                    return True
-                del color[v]
-        return False
-
-    return dict(color) if rec(0) else None
 
 
 def check_family(g: Graph, L: dict, family: ColoringFamily) -> dict:

@@ -19,6 +19,7 @@ from flexicolor.instances import (
     InstanceFile,
     fig_3tree,
     fig_diamond,
+    format_fraction,
     random_bounded_degree,
     random_ktree,
     random_three_connected,
@@ -336,8 +337,8 @@ def with_request(inst, request):
 
 
 class TestCertifiedRecomputed:
-    """verify recomputes the certified fraction of two-tree, lambda and
-    treedepth results from the instance."""
+    """verify recomputes the certified fraction of every result from the
+    instance."""
 
     def solve(self, capsys, tmp_path, inst, *method):
         path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
@@ -354,6 +355,17 @@ class TestCertifiedRecomputed:
             (lambda: random_treedepth(5, 10, 3), ("treedepth",), "1/3", "1/2"),
             (lambda: random_treedepth(5, 10, 3, request_kind="weighted"),
              ("treedepth",), "1/9", "1/3"),
+            # generate bounded-degree --n 40 --delta 4 --seed 3
+            (lambda: random_bounded_degree(3, 40, 4), ("maxdeg",), "1/24", "0"),
+            (lambda: random_bounded_degree(2, 14, 3, request_kind="unique"),
+             ("maxdeg-weighted",), "1/12", "1/6"),
+            (lambda: random_bounded_degree(2, 14, 3, request_kind="weighted"),
+             ("maxdeg-weighted",), "1/36", "1/12"),
+            (lambda: random_three_connected(5, 14), ("degeneracy",), "3/152", "0"),
+            (lambda: with_request(random_three_connected(5, 14), Request("unweighted")),
+             ("degeneracy",), "0", "1/2"),
+            (lambda: with_request(two_cliques_matching(3), Request("unweighted")),
+             ("maxdeg",), "0", "1/18"),
         ],
     )
     def test_tampered_certified_rejected(self, capsys, tmp_path, make, method,
@@ -386,6 +398,49 @@ class TestCertifiedRecomputed:
         code, _, err = run(["verify", str(path), str(res)], capsys)
         assert code == 2 and len(err.splitlines()) == 1
         assert err.startswith("error precondition")
+
+    @pytest.mark.parametrize(
+        "prefs,lines,message",
+        [
+            # Brooks has no coloring of K4 with maxdeg colors
+            ({0: 0}, ["method maxdeg", "satisfied 1", "certified 1/18", "total 1",
+                      *(f"color {v} {v}" for v in range(4))],
+             "complete graph"),
+            # a regular graph has no vertex to end the ordering with
+            ({0: 0, 1: 0}, ["method degeneracy", "satisfied 1", "certified 1/2",
+                            "total 2", "degeneracy 3", "order 0 1 2 3", "first 0"],
+             "regular"),
+        ],
+    )
+    def test_certified_of_an_instance_outside_the_solver(
+        self, capsys, tmp_path, prefs, lines, message
+    ):
+        """A valid answer on K4, which no solver of these methods takes."""
+        path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        k4 = graph.Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+        path.write_text(serialize(InstanceFile(
+            k4, {v: {0, 1, 2, 3} for v in range(4)}, Request("unweighted", prefs=prefs)
+        )))
+        res.write_text("\n".join([cli.RESULT_HEADER, *lines]) + "\n")
+        code, _, err = run(["verify", str(path), str(res)], capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith("error precondition") and message in err
+
+    @pytest.mark.parametrize(
+        "make,method,other",
+        [
+            (lambda: two_cliques_matching(3), "maxdeg", "maxdeg-weighted"),
+            (lambda: random_bounded_degree(2, 14, 3, request_kind="unique"),
+             "maxdeg-weighted", "maxdeg"),
+        ],
+    )
+    def test_method_of_another_request_kind(self, capsys, tmp_path, make,
+                                            method, other):
+        path, res = self.solve(capsys, tmp_path, make(), method)
+        res.write_text(res.read_text().replace(f"method {method}\n", f"method {other}\n"))
+        code, _, err = run(["verify", str(path), str(res)], capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith(f"error precondition method {other} does not solve")
 
     def test_unknown_method_rejected(self, capsys, tmp_path):
         path, res = self.solve(capsys, tmp_path, random_ktree(1, 9, 2), "two-tree")
@@ -473,6 +528,7 @@ FUZZ_TOKENS = ("-1", "0", "99", "", "1/0", "x", "1.5", "1/2")
 FUZZ_BASES = {
     "two-tree": lambda: random_ktree(1, 9, 2),
     "maxdeg": lambda: two_cliques_matching(3),
+    "maxdeg-weighted": lambda: random_bounded_degree(2, 14, 3, request_kind="unique"),
     "degeneracy": lambda: random_three_connected(5, 14),
 }
 
@@ -538,6 +594,29 @@ class TestResultFuzz:
             assert err.getvalue().startswith("error ")
         else:
             assert err.getvalue() == ""
+
+    @pytest.mark.parametrize("method", sorted(FUZZ_BASES))
+    @settings(max_examples=40, deadline=None)
+    @given(stated=st.fractions(min_value=0, max_value=2, max_denominator=1000))
+    def test_swapped_certified(self, solved_results, method, stated):
+        """Any certified fraction but the one recomputed is refused."""
+        d, results = solved_results
+        inst, text = results[method]
+        lines = text.splitlines()
+        [i] = [i for i, ln in enumerate(lines) if ln.startswith("certified ")]
+        real = Fraction(lines[i].split(" ")[1])
+        lines[i] = f"certified {format_fraction(stated)}"
+        res = d / f"{method}-certified.txt"
+        res.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", inst, str(res)])
+        if stated == real:
+            assert code == 0 and err.getvalue() == ""
+        else:
+            assert code == 2
+            assert err.getvalue().startswith("error precondition stated certified")
+            assert len(err.getvalue().splitlines()) == 1
 
 
 class TestResultParser:

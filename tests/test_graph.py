@@ -190,7 +190,6 @@ class TestBlockCutTree:
         assert set(t.cut_vertices) == {2}
         assert all(b.tag == "clique" for b in t.blocks)
         assert sum(b.terminal for b in t.blocks) == 2
-        assert t.all_blocks_clique_or_odd_cycle()
 
     def test_c5_is_single_odd_cycle_block(self):
         g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -201,7 +200,6 @@ class TestBlockCutTree:
         g = Graph(4, [(i, (i + 1) % 4) for i in range(4)])
         t = block_cut_tree(g)
         assert t.blocks[0].tag == "other"
-        assert not t.all_blocks_clique_or_odd_cycle()
 
     def test_path_blocks_are_edges(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])

@@ -5,10 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexicolor.errors import BudgetExceededError, PreconditionError
+from flexicolor.errors import PreconditionError
 from flexicolor.graph import Graph
 from flexicolor.listcolor import (
-    Infeasible,
     Request,
     check_coloring,
     degree_choosable_coloring,
@@ -18,9 +17,8 @@ from flexicolor.listcolor import (
     satisfied_amount,
     validate_lists,
 )
-from flexicolor.oracle import optimal_satisfaction
 from linecount import lines_run
-from reference import bruteforce_bad_component, reference_backtrack_coloring
+from reference import bruteforce_bad_component
 
 
 def cycle(k):
@@ -269,8 +267,7 @@ class TestDegreeChoosable:
     def test_odd_cycle_tight_lists_infeasible(self):
         g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
         L = {v: {1, 2} for v in range(5)}
-        out = degree_choosable_coloring(g, L)
-        assert isinstance(out, Infeasible)
+        assert degree_choosable_coloring(g, L) is None
 
     def test_slack_vertex_fast_path(self):
         g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -280,37 +277,33 @@ class TestDegreeChoosable:
         check_coloring(g, L, col)
 
     def test_list_below_degree_rejected(self):
+        # the one list-size check is where the lists are pruned
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        with pytest.raises(PreconditionError):
-            degree_choosable_coloring(g, {0: {1}, 1: {1, 2}, 2: {1, 2}})
+        with pytest.raises(PreconditionError, match="below its degree"):
+            precolor_and_extend(g, {0: {1}, 1: {1, 2}, 2: {1, 2}}, {})
 
-    def test_budget_cap_applies_only_to_bad_instances(self):
-        g = Graph(30, [(i, i + 1) for i in range(29)])
-        L = {v: {1, 2} for v in range(30)}
-        L[0] = {1}
-        L[29] = {1}
-        # path blocks are cliques (edges) and all lists are tight
-        with pytest.raises(BudgetExceededError):
-            degree_choosable_coloring(g, L)
+    def test_bad_component_of_any_size_is_none(self):
+        # path blocks are cliques (edges) and all lists are tight, so the
+        # path is bad at every length, colorable or not; no search runs
+        def tight_path(n):
+            L = {v: {1, 2} for v in range(n)}
+            L[0] = L[n - 1] = {1}
+            return Graph(n, [(i, i + 1) for i in range(n - 1)]), L
 
-    def test_agrees_with_oracle_on_sweep(self):
+        assert bruteforce_bad_component(*tight_path(15))
+        for n in (15, 30, 3000):
+            assert degree_choosable_coloring(*tight_path(n)) is None
+
+    def test_none_exactly_on_bad_components(self):
         def agrees(g, L):
-            try:
-                validate_lists(g, L)
-                out = degree_choosable_coloring(g, L)
-            except PreconditionError:
-                return False
-            truth = optimal_satisfaction(
-                g, L, Request("unweighted"), 10**9
-            ).colorable
-            if isinstance(out, Infeasible):
-                assert not truth
+            out = degree_choosable_coloring(g, L)
+            if bruteforce_bad_component(g, L):
+                assert out is None
             else:
                 check_coloring(g, L, out)
-                assert truth
-            return True
 
-        # all connected graphs n <= 5, a few random tight list choices
+        # all connected graphs n <= 5, a few random list choices of at
+        # least the degree, mostly tight
         rng = random.Random(3)
         checked = 0
         for n in (3, 4, 5):
@@ -322,24 +315,20 @@ class TestDegreeChoosable:
                         )
                         for v in range(n)
                     }
-                    checked += agrees(g, L)
+                    agrees(g, L)
+                    checked += 1
         assert checked > 100
         # tight lists on glued blocks with a few chords, n <= 9
         for _ in range(400):
             kinds = ("clique", "odd-cycle", "other")
-            assert agrees(*glued_blocks(rng, kinds, extra=rng.randint(0, 2)))
+            agrees(*glued_blocks(rng, kinds, extra=rng.randint(0, 2)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**6))
-    def test_bad_components_get_the_backtracking_coloring(self, seed):
+    def test_tight_gallai_trees_get_none(self, seed):
         g, L = glued_blocks(random.Random(seed), ("clique", "odd-cycle"))
         assert bruteforce_bad_component(g, L)
-        out = degree_choosable_coloring(g, L)
-        expected = reference_backtrack_coloring(g, L)
-        if expected is None:
-            assert isinstance(out, Infeasible)
-        else:
-            assert out == expected
+        assert degree_choosable_coloring(g, L) is None
 
     def test_tight_prism_components_scale_linearly(self):
         def work(n):
@@ -354,13 +343,23 @@ class TestDegreeChoosable:
         assert (large / small) ** 0.5 < 3, (small, large)
 
 
+def merged(fixed, components):
+    """The fixed colors and every component's coloring, as one dict."""
+    coloring = dict(fixed)
+    for _, _, _, col in components:
+        coloring.update(col)
+    return coloring
+
+
 class TestPrecolorAndExtend:
     def test_extends_around_fixed_triangle_vertex(self):
         # bowtie: requests at a pendant triangle vertex
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
         L = {0: {1, 2, 3}, 1: {1, 2, 3}, 2: {1, 2, 3, 4}, 3: {1, 2, 3}, 4: {1, 2, 3}}
-        col = precolor_and_extend(g, L, {0: 1})
-        assert not isinstance(col, Infeasible)
+        [(ids, sub, lists, col)] = precolor_and_extend(g, L, {0: 1})
+        assert ids == [1, 2, 3, 4] and sub == g.induced(ids)[0]
+        assert lists == {1: {2, 3}, 2: {2, 3, 4}, 3: {1, 2, 3}, 4: {1, 2, 3}}
+        col = merged({0: 1}, [(ids, sub, lists, col)])
         assert col[0] == 1
         check_coloring(g, L, col)
 
@@ -391,5 +390,12 @@ class TestPrecolorAndExtend:
             5: {2, 3},
         }
         out = precolor_and_extend(g, L, {0: 1})
-        assert isinstance(out, Infeasible)
-        assert set(out.component) == {3, 4, 5}
+        assert [(ids, col is None) for ids, _, _, col in out] == [
+            ([1, 2], False), ([3, 4, 5], True)
+        ]
+        ids, sub, lists, col = out[0]
+        check_coloring(
+            sub,
+            {i: lists[v] for i, v in enumerate(ids)},
+            {i: col[v] for i, v in enumerate(ids)},
+        )

@@ -11,7 +11,7 @@ from flexicolor.instances import (
     random_bounded_degree,
     two_cliques_matching,
 )
-from flexicolor.listcolor import Request, check_coloring, precolor_and_extend
+from flexicolor.listcolor import Request, check_coloring
 from flexicolor.maxdeg import (
     _local_b_values,
     classify_components,
@@ -166,50 +166,44 @@ class TestLocalBValues:
         assert local == reference == {0: -1, 4: -1, 5: 0}
 
 
-# classify_components and precolor_and_extend on two-cliques-matching, the
-# one fixture the solvers accept, for each delta and two precolored sets
+# classify_components on two-cliques-matching, the one fixture the
+# solvers accept, for each delta and two precolored sets: each report's
+# vertices, pruned lists, coloring (None when bad) and, for a bad
+# component only, its block tags and terminal blocks
 CLIQUES_PINNED = {
-    (3, ((0, 1),)): (
-        [((1, 2, 3, 4, 5), {1: {2, 3}, 2: {2, 3}, 3: {2, 3}, 4: {1, 2, 3}, 5: {1, 2, 3}},
-          False, True, (((1, 2, 3, 4, 5), "other"),), ((1, 2, 3, 4, 5),))],
-        {0: 1, 1: 3, 2: 2, 3: 2, 4: 1, 5: 3},
-    ),
-    (3, ((0, 1), (4, 2))): (
-        [((1, 2, 3, 5), {1: {3}, 2: {2, 3}, 3: {3}, 5: {1, 3}}, True, True,
-          (((1, 2), "clique"), ((2, 5), "clique"), ((3, 5), "clique")),
-          ((1, 2), (3, 5)))],
-        {0: 1, 4: 2, 1: 3, 3: 3, 2: 2, 5: 1},
-    ),
-    (4, ((0, 1),)): (
-        [((1, 2, 3, 4, 5, 6, 7),
-          {1: {2, 3, 4}, 2: {2, 3, 4}, 3: {2, 3, 4}, 4: {2, 3, 4},
-           5: {1, 2, 3, 4}, 6: {1, 2, 3, 4}, 7: {1, 2, 3, 4}},
-          False, True, (((1, 2, 3, 4, 5, 6, 7), "other"),), ((1, 2, 3, 4, 5, 6, 7),))],
-        {0: 1, 1: 4, 2: 2, 3: 3, 4: 2, 5: 1, 6: 3, 7: 4},
-    ),
-    (4, ((0, 1), (5, 2))): (
-        [((1, 2, 3, 4, 6, 7),
-          {1: {3, 4}, 2: {2, 3, 4}, 3: {2, 3, 4}, 4: {3, 4}, 6: {1, 3, 4}, 7: {1, 3, 4}},
-          False, True, (((1, 2, 3, 4, 6, 7), "other"),), ((1, 2, 3, 4, 6, 7),))],
-        {0: 1, 5: 2, 1: 4, 2: 2, 3: 3, 4: 3, 6: 1, 7: 4},
-    ),
-    (5, ((0, 1),)): (
-        [((1, 2, 3, 4, 5, 6, 7, 8, 9),
-          {1: {2, 3, 4, 5}, 2: {2, 3, 4, 5}, 3: {2, 3, 4, 5}, 4: {2, 3, 4, 5},
-           5: {2, 3, 4, 5}, 6: {1, 2, 3, 4, 5}, 7: {1, 2, 3, 4, 5},
-           8: {1, 2, 3, 4, 5}, 9: {1, 2, 3, 4, 5}},
-          False, True, (((1, 2, 3, 4, 5, 6, 7, 8, 9), "other"),),
-          ((1, 2, 3, 4, 5, 6, 7, 8, 9),))],
-        {0: 1, 1: 5, 2: 2, 3: 3, 4: 4, 5: 2, 6: 1, 7: 3, 8: 4, 9: 5},
-    ),
-    (5, ((0, 1), (6, 2))): (
-        [((1, 2, 3, 4, 5, 7, 8, 9),
-          {1: {3, 4, 5}, 2: {2, 3, 4, 5}, 3: {2, 3, 4, 5}, 4: {2, 3, 4, 5},
-           5: {3, 4, 5}, 7: {1, 3, 4, 5}, 8: {1, 3, 4, 5}, 9: {1, 3, 4, 5}},
-          False, True, (((1, 2, 3, 4, 5, 7, 8, 9), "other"),),
-          ((1, 2, 3, 4, 5, 7, 8, 9),))],
-        {0: 1, 6: 2, 1: 5, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1, 8: 4, 9: 5},
-    ),
+    (3, ((0, 1),)): [
+        ((1, 2, 3, 4, 5), {1: {2, 3}, 2: {2, 3}, 3: {2, 3}, 4: {1, 2, 3}, 5: {1, 2, 3}},
+         {1: 3, 2: 2, 3: 2, 4: 1, 5: 3}, (), ()),
+    ],
+    (3, ((0, 1), (4, 2))): [
+        ((1, 2, 3, 5), {1: {3}, 2: {2, 3}, 3: {3}, 5: {1, 3}}, None,
+         (((1, 2), "clique"), ((2, 5), "clique"), ((3, 5), "clique")),
+         ((1, 2), (3, 5))),
+    ],
+    (4, ((0, 1),)): [
+        ((1, 2, 3, 4, 5, 6, 7),
+         {1: {2, 3, 4}, 2: {2, 3, 4}, 3: {2, 3, 4}, 4: {2, 3, 4},
+          5: {1, 2, 3, 4}, 6: {1, 2, 3, 4}, 7: {1, 2, 3, 4}},
+         {1: 4, 2: 2, 3: 3, 4: 2, 5: 1, 6: 3, 7: 4}, (), ()),
+    ],
+    (4, ((0, 1), (5, 2))): [
+        ((1, 2, 3, 4, 6, 7),
+         {1: {3, 4}, 2: {2, 3, 4}, 3: {2, 3, 4}, 4: {3, 4}, 6: {1, 3, 4}, 7: {1, 3, 4}},
+         {1: 4, 2: 2, 3: 3, 4: 3, 6: 1, 7: 4}, (), ()),
+    ],
+    (5, ((0, 1),)): [
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9),
+         {1: {2, 3, 4, 5}, 2: {2, 3, 4, 5}, 3: {2, 3, 4, 5}, 4: {2, 3, 4, 5},
+          5: {2, 3, 4, 5}, 6: {1, 2, 3, 4, 5}, 7: {1, 2, 3, 4, 5},
+          8: {1, 2, 3, 4, 5}, 9: {1, 2, 3, 4, 5}},
+         {1: 5, 2: 2, 3: 3, 4: 4, 5: 2, 6: 1, 7: 3, 8: 4, 9: 5}, (), ()),
+    ],
+    (5, ((0, 1), (6, 2))): [
+        ((1, 2, 3, 4, 5, 7, 8, 9),
+         {1: {3, 4, 5}, 2: {2, 3, 4, 5}, 3: {2, 3, 4, 5}, 4: {2, 3, 4, 5},
+          5: {3, 4, 5}, 7: {1, 3, 4, 5}, 8: {1, 3, 4, 5}, 9: {1, 3, 4, 5}},
+         {1: 5, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1, 8: 4, 9: 5}, (), ()),
+    ],
 }
 
 
@@ -219,15 +213,31 @@ class TestPinnedFixtureValues:
         delta, fixed = key
         inst = two_cliques_matching(delta)
         prefs = dict(fixed)
-        reports, coloring = CLIQUES_PINNED[key]
         got = classify_components(inst.g, inst.L, set(prefs), prefs)
         assert [
-            (r.vertices, r.pruned_lists, r.bad, r.tight, r.block_tags, r.terminal_blocks)
+            (r.vertices, r.pruned_lists, r.coloring, r.block_tags, r.terminal_blocks)
             for r in got
-        ] == reports
-        check_coloring(inst.g, inst.L, coloring)
-        assert all(coloring[v] == c for v, c in prefs.items())
-        assert precolor_and_extend(inst.g, inst.L, prefs) == coloring
+        ] == CLIQUES_PINNED[key]
+        if not any(r.bad for r in got):
+            coloring = dict(prefs)
+            for r in got:
+                coloring.update(r.coloring)
+            check_coloring(inst.g, inst.L, coloring)
+
+
+class TestConnectivityChecks:
+    def test_whole_graph_components_found_twice(self, monkeypatch):
+        # once for the solver preconditions, once for the Brooks
+        # coloring's; the components of g minus the precolored set are
+        # connected by construction
+        inst = random_bounded_degree(3, 40, 4)
+        seen = []
+        components = Graph.components
+        monkeypatch.setattr(
+            Graph, "components", lambda h: seen.append(h) or components(h)
+        )
+        solve_unweighted(inst.g, inst.L, inst.request)
+        assert sum(h is inst.g for h in seen) == 2
 
 
 class TestRandomBounds:
