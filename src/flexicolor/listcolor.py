@@ -60,6 +60,13 @@ def exact_sum(weights: Iterable) -> Fraction:
     return Fraction(sum(map(mul, nums, map(floordiv, repeat(d), dens))), d)
 
 
+def scaled_to_integers(weights: dict) -> tuple:
+    """(d, {key: weight * d}) for d the least common denominator of the
+    rational weights, so that they can be added and compared as ints."""
+    d = lcm(*{w.denominator for w in weights.values()})
+    return d, {k: w.numerator * (d // w.denominator) for k, w in weights.items()}
+
+
 def _least_numerator(weights: Iterable):
     """The least numerator of the weights, whose sign is the weight's for
     rationals (1 if there are none); None if a weight has no numerator,

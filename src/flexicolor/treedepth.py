@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import Graph, TreedepthForest
-from .listcolor import Request, reduce_to_unique
+from .listcolor import Request, reduce_to_unique, scaled_to_integers
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,10 @@ def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
     if request.kind == "weighted":
         request = reduce_to_unique(request, inst.L)
     prefs = dict(request.prefs)
-    weights = {v: Fraction(request.weights.get(v, 1)) for v in prefs}
+    # phi is kept in ints: the weights are scaled by their common
+    # denominator, and at a root of level h the values of its colors by
+    # m = max(h - 1, 1) and phi before it by h
+    scale, weights = scaled_to_integers({v: request.weights.get(v, 1) for v in prefs})
     rec = _Recursion(inst, prefs)
     out = {}
     stack = [
@@ -175,38 +178,38 @@ def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
                 f"vertex {root} has list size {len(choices)} at a level "
                 f"needing {h}"
             )
-        alive = defaultdict(Fraction)  # alive weight below root, by color
+        alive = defaultdict(int)  # alive weight below root, by color
         for v in comp:
             if v != root and v in prefs and prefs[v] in lists[v]:
                 alive[prefs[v]] += weights[v]
-        below = sum(alive.values(), Fraction(0))
+        below = sum(alive.values())
         own = prefs.get(root)
-        before = (below + (weights[root] if own in choices else 0)) / h
+        before = below + (weights[root] if own in choices else 0)
+        m = max(h - 1, 1)
         best = None
         for c in choices:  # ascending, so ties keep the smallest color
-            value = weights[root] if c == own else Fraction(0)
+            value = weights[root] * m if c == own else 0
             if h > 1:
-                value += (below - alive[c]) / (h - 1)
+                value += below - alive[c]
             if best is None or value > best:
                 best, color = value, c
-        if best < before:
+        if best * h < before * m:
             raise InternalInvariantError(
-                f"estimator fell from {before} to {best} at root {root}"
+                f"estimator fell from {Fraction(before, h * scale)} to "
+                f"{Fraction(best, m * scale)} at root {root}"
             )
         out[root] = color
         if len(comp) > 1:
             sub_lists = _delete_and_trim(lists, comp, root, color, prefs, h)
             for sub in rec.components(comp, without=root):
                 stack.append((sub, sub_lists, h - 1))
-    satisfied = sum(
-        (weights[v] for v in prefs if out[v] == prefs[v]), Fraction(0)
-    )
-    total = sum(weights.values(), Fraction(0))
+    satisfied = sum(weights[v] for v in prefs if out[v] == prefs[v])
+    total = sum(weights.values())
     # every request is alive in the trimmed lists, so the estimator
     # starts at total/k: this is its end invariant and the paper's bound
     if satisfied * rec.k < total:
         raise InternalInvariantError(
-            f"derandomized weight {satisfied} is below the estimator's "
-            f"start total/{rec.k}"
+            f"derandomized weight {Fraction(satisfied, scale)} is below the "
+            f"estimator's start total/{rec.k}"
         )
     return out

@@ -7,17 +7,23 @@ from hypothesis import given, settings, strategies as st
 from flexicolor.cli import main
 from flexicolor.errors import BudgetExceededError
 from flexicolor.graph import Graph
-from flexicolor.instances import InstanceFile, serialize, two_cliques_matching
+from flexicolor.instances import (
+    InstanceFile,
+    random_ktree,
+    serialize,
+    two_cliques_matching,
+)
 from flexicolor.listcolor import Request, check_coloring, satisfied_amount
-from flexicolor.oracle import optimal_satisfaction
-from reference import bruteforce_bad_component
+from flexicolor.oracle import optimal_satisfaction, sweep_order
+from linecount import lines_run
+from reference import bruteforce_bad_component, reference_sweep_order
 
 
 def reference_dfs(g: Graph, L: dict, request: Request) -> tuple:
     """(optimum, coloring, enumerated) by visiting every proper list
-    coloring depth-first: smallest list first, ties by vertex id, colors
-    ascending; the first coloring of the largest value is kept."""
-    order = sorted(range(g.n), key=lambda v: (len(L[v]), v))
+    coloring depth-first in the oracle's `sweep_order`, colors ascending;
+    the first coloring of the largest value is kept."""
+    order = sweep_order(g, L)
     if request.kind == "unweighted":
         gain, zero = {vc: 1 for vc in request.prefs.items()}, 0
     elif request.kind == "unique":
@@ -166,6 +172,39 @@ class TestFrontierSweep:
         assert res.enumerated == enumerated
         colorable = optimal_satisfaction(g, L, Request("unweighted")).colorable
         assert colorable == (enumerated > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cases())
+    def test_order_matches_rescan(self, case):
+        g, L, _ = case
+        assert sweep_order(g, L) == reference_sweep_order(g, L)
+
+    def test_ktree_order_and_states(self):
+        # the min-frontier order keeps the sweep of this 2-tree, with
+        # 3 * 10**15 proper colorings, to a few thousand states
+        inst = random_ktree(7, 60, 2)
+        assert sweep_order(inst.g, inst.L) == reference_sweep_order(inst.g, inst.L)
+        request = Request("unweighted", prefs=inst.request.prefs)
+        res = optimal_satisfaction(inst.g, inst.L, request, budget=10**30)
+        assert res.optimum == 39 and res.enumerated == 3086392575467520
+        assert res.states <= 5000
+        check_coloring(inst.g, inst.L, res.coloring)
+        assert satisfied_amount(inst.g, inst.L, res.coloring, request) == 39
+
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    def test_order_and_sweep_about_linear(self, shape):
+        # a quadratic order (a rescan of every vertex per step) gives 16
+        def run(n):
+            if shape == "path":
+                g, L = path_with_singletons(n)
+            else:
+                g = Graph(n, [(0, v) for v in range(1, n)])
+                L = {v: {1 if v == 0 else 2} for v in range(n)}
+            work, res = lines_run(optimal_satisfaction, g, L, Request("unweighted"))
+            assert res.enumerated == 1
+            return work
+
+        assert run(8000) / run(2000) < 8
 
     def test_two_cliques_matching_count(self):
         inst = two_cliques_matching(5)

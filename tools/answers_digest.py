@@ -7,14 +7,15 @@ perfbench/workloads.py, runs solve, verify and oracle on every document
 through flexicolor.cli.main, and prints one line per document: its
 number, a sha256 over the result document, the verify output, the
 oracle document, the stderr of each of the three commands and their
-exit statuses, a second sha256 over the same with the result's `color`
-lines left out, and its label.  A change that only recolors shows in
-the first hash alone; one that changes a verdict or an amount shows in
-both.  The oracle runs on every document; on a large one it stops at
-its budget with exit status 3.  --root names the source checkout to
-import flexicolor and perfbench from (by default the one holding this
-script), so running it on two checkouts and diffing the outputs shows
-whether a change gives byte-identical answers and the same error lines.
+exit statuses, a second sha256 over the same with the `color` lines of
+the result and oracle documents left out, and its label.  A change that
+only recolors, in solve or in oracle, shows in the first hash alone; one
+that changes a verdict, an amount or a count shows in both.  The oracle
+runs on every document; on a large one it stops at its budget with exit
+status 3.  --root names the source checkout to import flexicolor and
+perfbench from (by default the one holding this script), so running it
+on two checkouts and diffing the outputs shows whether a change gives
+byte-identical answers and the same error lines.
 """
 from __future__ import annotations
 
@@ -45,6 +46,12 @@ def _sha256(parts) -> str:
     return h.hexdigest()
 
 
+def _uncolored(doc: bytes) -> bytes:
+    return b"".join(
+        ln for ln in doc.splitlines(keepends=True) if not ln.startswith(b"color ")
+    )
+
+
 def digests(workload: str, seed: int, scratch: str):
     """(label, sha256 hex, sha256 hex without color lines) of every
     document of the pool, in pool order."""
@@ -68,13 +75,13 @@ def digests(workload: str, seed: int, scratch: str):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 codes.append(cli.main(argv))
             errs.append(err.getvalue().encode())
-        doc = _read(result)
-        rest = [out.getvalue().encode(), _read(oracle), *errs,
-                repr(tuple(codes)).encode()]
-        uncolored = b"".join(
-            ln for ln in doc.splitlines(keepends=True) if not ln.startswith(b"color ")
+        doc, orc = _read(result), _read(oracle)
+        out, rest = out.getvalue().encode(), [*errs, repr(tuple(codes)).encode()]
+        yield (
+            job.label,
+            _sha256([doc, out, orc, *rest]),
+            _sha256([_uncolored(doc), out, _uncolored(orc), *rest]),
         )
-        yield job.label, _sha256([doc, *rest]), _sha256([uncolored, *rest])
 
 
 def main(argv=None) -> int:
