@@ -444,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact optimum over all proper list colorings")
     orc.add_argument("instance")
-    orc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    orc.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                     help="most cells the elimination may take (exit 3 above it)")
     orc.add_argument("--out", default=None)
     orc.set_defaults(func=_oracle)
 

@@ -329,12 +329,12 @@ def _spanning_set_rec(h: Hypergraph, d: int) -> list:
     need = (d + 8) // 3  # ceil(d/3 + 2)
     uf = _UnionFind(n)
     comps = n
-    A1 = []
+    A1, a1_set = [], set()
     progress = True
     while progress:
         progress = False
         for i, e in enumerate(E):
-            if i in set(A1):
+            if i in a1_set:
                 continue
             touched = _components_touched(uf, e)
             if len(touched) >= need:
@@ -343,6 +343,7 @@ def _spanning_set_rec(h: Hypergraph, d: int) -> list:
                     uf.union(roots[0], r)
                 comps -= len(touched) - 1
                 A1.append(i)
+                a1_set.add(i)
                 progress = True
 
     k = Fraction(3, d)
@@ -374,7 +375,6 @@ def _spanning_set_rec(h: Hypergraph, d: int) -> list:
             root_ids[r] = len(root_ids)
     back = []
     small_edges = []
-    a1_set = set(A1)
     for i, e in enumerate(E):
         if i in a1_set:
             continue

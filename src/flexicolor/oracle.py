@@ -1,21 +1,25 @@
-"""Exact ground truth for desk-scale instances.
+"""Exact ground truth for instances of small treewidth.
 
-Computes the exact optimum over all proper list colorings with a
-dynamic program over the colors of the frontier, so every solver's
-satisfied amount and certified bound can be checked against it.
+Computes the exact optimum over all proper list colorings, and their
+number, by bucket elimination (Dechter, "Bucket elimination", AI 113,
+1999), so every solver's satisfied amount and certified bound can be
+checked against it.  The work is bounded by the cells of the
+elimination order, which are linear in n on k-trees and on forests of
+bounded height.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import BudgetExceededError
 from .graph import Graph
 from .listcolor import Request, scaled_to_integers
 
-DEFAULT_BUDGET = 10**7
+DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -23,158 +27,149 @@ class OracleResult:
     optimum: Union[int, Fraction]
     coloring: Optional[dict]  # None iff no proper list coloring exists
     enumerated: int  # number of proper list colorings
-    states: int  # reachable frontier states, summed over the sweep's steps
+    cells: int  # cells of the elimination order (see elimination_order)
 
     @property
     def colorable(self) -> bool:
         return self.coloring is not None
 
 
-def _check_budget(g: Graph, L: dict, budget: int) -> None:
-    prod = 1
-    for v in range(g.n):
-        prod *= len(L[v])
-        if prod > budget:
-            raise BudgetExceededError(
-                f"list-assignment search space exceeds budget {budget}"
-            )
+def elimination_order(g: Graph, L: dict, budget: int = DEFAULT_BUDGET) -> tuple:
+    """(order, scopes, cells) of eliminating g's vertices by min-degree.
 
-
-def sweep_order(g: Graph, L: dict) -> list:
-    """The order in which the sweep colors the vertices of g.
-
-    Greedily, the uncolored vertex of smallest key (frontier size after
-    coloring it, |L(v)|, v), where the frontier is the colored vertices
-    that have an uncolored neighbor.  Coloring v adds v to the frontier
-    if v has an uncolored neighbor and removes each frontier neighbor
-    whose last uncolored neighbor is v; `grow[v]` is that change.  It
-    changes only for the uncolored neighbors of the vertex just colored
-    and for the last uncolored neighbor of a frontier vertex that is down
-    to one, so a heap with lazy deletion gives the order in
-    O((n + m) log n).
+    Repeatedly eliminates the vertex of smallest (degree in the fill
+    graph, |L(v)|, v); its scope is its set of fill-graph neighbors,
+    which then become a clique.  `cells` is Σ_v |L(v)|·∏_{u ∈ scope(v)}
+    |L(u)|; BudgetExceededError is raised as soon as it passes `budget`,
+    before that vertex's fill edges are added.
     """
-    adj = [g.neighbors(v) for v in range(g.n)]
-    left = [len(a) for a in adj]  # uncolored neighbors
-    grow = [min(d, 1) for d in left]
-    heap = [(grow[v], len(L[v]), v) for v in range(g.n)]
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    heap = [(len(a), len(L[v]), v) for v, a in enumerate(adj)]
     heapq.heapify(heap)
-    done = [False] * g.n
-    order = []
+    order, scopes, cells = [], [], 0
     while heap:
-        key, _, v = heapq.heappop(heap)
-        if done[v] or key != grow[v]:
-            continue
-        done[v] = True
+        degree, _, v = heapq.heappop(heap)
+        scope = adj[v]
+        if scope is None or degree != len(scope):
+            continue  # eliminated, or a stale degree
+        size = len(L[v])
+        for u in scope:
+            size *= len(L[u])
+        cells += size
+        if cells > budget:
+            raise BudgetExceededError(f"elimination needs more than {budget} cells")
+        adj[v] = None
         order.append(v)
-        changed = []
-        for u in adj[v]:
-            left[u] -= 1
-            if not done[u]:
-                drop = (left[u] == 0) + (left[v] == 1)
-                if drop:
-                    grow[u] -= drop
-                    changed.append(u)
-            elif left[u] == 1:
-                w = next(w for w in adj[u] if not done[w])
-                grow[w] -= 1
-                changed.append(w)
-        for u in changed:
-            heapq.heappush(heap, (grow[u], len(L[u]), u))
-    return order
+        scopes.append(scope)
+        for u in scope:
+            adj[u] = (adj[u] | scope) - {u, v}
+            heapq.heappush(heap, (len(adj[u]), len(L[u]), u))
+    return order, scopes, cells
 
 
-def _steps(g: Graph, L: dict, gain: dict, order: list) -> tuple:
-    """The transition of each vertex of `order`, and the slot mask.
+def _getter(positions: list):
+    """A function taking a tuple to the tuple of its items at `positions`."""
+    if len(positions) == 1:
+        return lambda key, i=positions[0]: (key[i],)
+    return itemgetter(*positions) if positions else lambda key: ()
 
-    The frontier before step i holds the vertices colored at steps < i
-    that have a neighbor colored at a step >= i.  A state is an int that
-    keeps the palette index of each frontier vertex's color in that
-    vertex's slot of `width` bits; a vertex takes the lowest free slot
-    when it is colored, and its slot is cleared and freed at the step
-    after which it has no uncolored neighbor.  A step is (nbr, slots,
-    keep, options): the mask of the slots of the vertex's colored
-    neighbors, their shifts, the mask that clears the slots freed at
-    this step, and the vertex's (palette index, color, gain, index in
-    its slot) options, colors ascending.
+
+def _join(left: tuple, right: tuple, adj: list) -> tuple:
+    """The product of two tables (variables, {colors: (count, best gain)}),
+    each over colorings proper on its variables: the pairs of rows that
+    agree on the shared variables and color no edge between the others
+    alike, as (c₁·c₂, b₁ + b₂).  adj[v] is the set of v's neighbors."""
+    lvars, lrows = left
+    rvars, rrows = right
+    at = {u: i for i, u in enumerate(lvars)}
+    shared = [i for i, u in enumerate(rvars) if u in at]
+    new = [i for i, u in enumerate(rvars) if u not in at]
+    checks = [
+        (at[u], j)
+        for j, i in enumerate(new)
+        for u in lvars
+        if u in adj[rvars[i]] and u not in rvars
+    ]
+    rshared, rnew = _getter(shared), _getter(new)
+    index: dict = {}
+    for key, value in rrows.items():
+        index.setdefault(rshared(key), []).append((rnew(key), *value))
+    lshared = _getter([at[rvars[i]] for i in shared])
+    rows = {
+        key + ext: (count * c, best + b)
+        for key, (count, best) in lrows.items()
+        for ext, c, b in index.get(lshared(key), ())
+        if not any(key[i] == ext[j] for i, j in checks)
+    }
+    return lvars + tuple(rvars[i] for i in new), rows
+
+
+def _extend(table: tuple, u: int, colors: list, adj: list) -> tuple:
+    """`table` with one more variable u, colored from `colors` unlike
+    its neighbors among the variables."""
+    names, rows = table
+    near = _getter([i for i, w in enumerate(names) if w in adj[u]])
+    return names + (u,), {
+        key + (c,): value
+        for key, value in rows.items()
+        for used in (near(key),)
+        for c in colors
+        if c not in used
+    }
+
+
+def _eliminate(g: Graph, L: dict, gain: dict, order: list, scopes: list) -> tuple:
+    """(count, best, coloring) over the proper list colorings of g.
+
+    Each vertex v of `order` joins the tables sent to it, the largest
+    first (none: its own list), then the lists of the rest of its scope.
+    Summing v out keeps, per coloring of the scope, the number of
+    colorings, the best gain and the smallest color of v that reaches
+    it; the table goes to the first-eliminated vertex of the scope.  The
+    readback colors the vertices in reverse order, each with the color
+    kept for the colors already fixed on its scope.  With no proper
+    coloring the result is (0, 0, None).
     """
-    palette = sorted(set().union(*L.values()))
-    index = {c: d for d, c in enumerate(palette)}
-    width = max(1, (len(palette) - 1).bit_length())
-    mask = (1 << width) - 1
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    last = [max((pos[u] for u in g.neighbors(v)), default=-1) for v in range(g.n)]
-    slot: dict = {}  # frontier vertex -> its slot
-    steps = []
-    for i, v in enumerate(order):
-        slots = tuple(slot[u] * width for u in g.neighbors(v) if u in slot)
-        free = set(range(len(slot) + 1)) - set(slot.values())
-        slot[v] = min(free)
-        shift = slot[v] * width
-        keep = -1
-        for u in [u for u in slot if last[u] <= i]:
-            keep &= ~(mask << slot.pop(u) * width)
-        options = tuple(
-            (index[c], c, gain.get((v, c), 0), index[c] << shift) for c in sorted(L[v])
-        )
-        steps.append((sum(mask << k for k in slots), slots, keep, options))
-    return steps, mask
-
-
-def _sweep(g: Graph, L: dict, gain: dict) -> tuple:
-    """(count, best, coloring, states) over the proper list colorings of g.
-
-    Colors the vertices in `sweep_order`.  A forward pass collects the
-    reachable frontier states of each step and each one's children
-    (color, gain, next state); a step computes the options a state
-    leaves free once per projection of the state onto the slots of the
-    vertex's colored neighbors.  A backward pass keeps, for each state
-    with a proper completion, its number of proper completions and the
-    largest total gain among them, for one step, and its first child of
-    that gain, for the coloring.  The coloring is the
-    lexicographically first optimal one along the order, colors
-    ascending; with no proper coloring the result is (0, 0, None,
-    states).  `states` is the number of reachable states, summed over
-    the steps.
-    """
-    order = sweep_order(g, L)
-    steps, mask = _steps(g, L, gain, order)
-    levels, reached = [], {0}
-    for nbr, slots, keep, options in steps:
-        free, level = {}, {}
-        for s in reached:
-            p = s & nbr
-            opts = free.get(p)
-            if opts is None:
-                used = {(p >> k) & mask for k in slots}
-                opts = free[p] = [(c, gn, d) for i, c, gn, d in options if i not in used]
-            level[s] = [(c, gn, (s | d) & keep) for c, gn, d in opts]
-        levels.append(level)
-        reached = {t for kids in level.values() for _, _, t in kids}
-    states = sum(map(len, levels))
-    live, picks = {0: (1, 0)}, [None] * g.n
-    for i in reversed(range(g.n)):
-        here, pick = {}, {}
-        for s, kids in levels[i].items():
-            count, top = 0, None
-            for c, gn, t in kids:
-                after = live.get(t)
-                if after:
-                    count += after[0]
-                    val = after[1] + gn
-                    if top is None or val > top:
-                        top, pick[s] = val, (c, t)
-            if count:
-                here[s] = count, top
-        live, picks[i], levels[i] = here, pick, None
-    if 0 not in live:
-        return 0, 0, None, states
-    coloring, s = {}, 0
-    for v, pick in zip(order, picks):
-        coloring[v], s = pick[s]
-    count, best = live[0]
-    return count, best, coloring, states
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    position = {v: i for i, v in enumerate(order)}
+    inbox: dict = {}
+    picks = {}
+    count, best = 1, 0
+    for v, scope in zip(order, scopes):
+        tables = sorted(inbox.pop(v, ()), key=lambda t: len(t[1]), reverse=True)
+        table = tables.pop(0) if tables else ((v,), {(c,): (1, 0) for c in L[v]})
+        for other in tables:
+            table = _join(table, other, adj)
+        for u in sorted(scope - set(table[0])):
+            table = _extend(table, u, sorted(L[u]), adj)
+        names, rows = table
+        i = names.index(v)
+        others = [j for j in range(len(names)) if j != i]
+        restof, gv = _getter(others), {c: gain.get((v, c), 0) for c in L[v]}
+        summed, pick = {}, {}
+        for key, (c, b) in rows.items():
+            color, rest = key[i], restof(key)
+            b += gv[color]
+            old = summed.get(rest)
+            if old is None:
+                summed[rest], pick[rest] = (c, b), color
+            elif b > old[1] or (b == old[1] and color < pick[rest]):
+                summed[rest], pick[rest] = (old[0] + c, b), color
+            else:
+                summed[rest] = (old[0] + c, old[1])
+        if not summed:
+            return 0, 0, None
+        rest = tuple(names[j] for j in others)
+        picks[v] = rest, pick
+        if rest:
+            inbox.setdefault(min(rest, key=position.__getitem__), []).append((rest, summed))
+        else:
+            count, best = count * summed[()][0], best + summed[()][1]
+    coloring = {}
+    for v in reversed(order):
+        rest, pick = picks[v]
+        coloring[v] = pick[tuple(coloring[u] for u in rest)]
+    return count, best, coloring
 
 
 def optimal_satisfaction(
@@ -182,18 +177,18 @@ def optimal_satisfaction(
 ) -> OracleResult:
     """Exact maximum satisfied amount over all proper list colorings.
 
-    A frontier dynamic program (`_sweep`) in the order of `sweep_order`;
-    the budget still bounds the product of the list sizes.  Weights are
-    exact rationals, scaled to integers by the common denominator for
-    the sweep.  `enumerated` is the number of proper list colorings, and
-    the coloring is the lexicographically first optimal one along the
-    order, colors ascending (the first optimum a depth-first sweep of
-    that order meets).  `states` counts the frontier states the sweep
-    reached.  The optimum is an int for unweighted requests
+    Bucket elimination (`_eliminate`) in the order of
+    `elimination_order`, whose cells the budget bounds; above it
+    BudgetExceededError is raised before any table is built.  Weights
+    are exact rationals, scaled to integers by the common denominator.
+    `enumerated` is the number of proper list colorings.  In the optimal
+    coloring each vertex, in reverse elimination order, takes the
+    smallest color that reaches the best value given the colors already
+    fixed on its scope.  The optimum is an int for unweighted requests
     and a Fraction otherwise.  g, L and request must pass
     InstanceFile(g, L, request).validate().
     """
-    _check_budget(g, L, budget)
+    order, scopes, cells = elimination_order(g, L, budget)
     if request.kind == "unweighted":
         weights = {(v, c): 1 for v, c in request.prefs.items()}
     elif request.kind == "unique":
@@ -201,6 +196,6 @@ def optimal_satisfaction(
     else:
         weights = {vc: w for vc, w in request.table.items() if w > 0}
     scale, gain = scaled_to_integers(weights)
-    count, best, coloring, states = _sweep(g, L, gain)
+    count, best, coloring = _eliminate(g, L, gain, order, scopes)
     optimum = best if request.kind == "unweighted" else Fraction(best, scale)
-    return OracleResult(optimum, coloring, count, states)
+    return OracleResult(optimum, coloring, count, cells)

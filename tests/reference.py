@@ -41,10 +41,6 @@ independent block finder that tries every vertex subset;
 `listcolor.degree_choosable_coloring` must return None on exactly
 these components, and `maxdeg.classify_components` flag them.
 
-`reference_sweep_order` is the oracle's min-frontier vertex order by
-a rescan of every uncolored vertex at each step, recounting the frontier
-each would leave; `oracle.sweep_order` must give the same order.
-
 `exact_game_connectivity` (the worst requested set's best removable
 fraction, over all subsets), `removable_ratio`, `leaf_ratio` and
 `game_connectivity_by_trees` (over all spanning trees) are the game
@@ -668,25 +664,6 @@ def bruteforce_bad_component(g: Graph, L: dict) -> bool:
             continue
         return False
     return True
-
-
-def reference_sweep_order(g: Graph, L: dict) -> list:
-    """The oracle's vertex order by a full rescan at every step: the
-    uncolored vertex of smallest (frontier size after coloring it,
-    |L(v)|, v), the frontier recounted from scratch for each candidate."""
-    order, colored = [], set()
-
-    def frontier(done: set) -> int:
-        return sum(1 for u in done if any(w not in done for w in g.neighbors(u)))
-
-    while len(order) < g.n:
-        v = min(
-            (v for v in range(g.n) if v not in colored),
-            key=lambda v: (frontier(colored | {v}), len(L[v]), v),
-        )
-        order.append(v)
-        colored.add(v)
-    return order
 
 
 def _connected_mask(adj_masks: list, mask: int) -> bool:

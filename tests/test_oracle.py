@@ -14,16 +14,14 @@ from flexicolor.instances import (
     two_cliques_matching,
 )
 from flexicolor.listcolor import Request, check_coloring, satisfied_amount
-from flexicolor.oracle import optimal_satisfaction, sweep_order
+from flexicolor.oracle import elimination_order, optimal_satisfaction
 from linecount import lines_run
-from reference import bruteforce_bad_component, reference_sweep_order
+from reference import bruteforce_bad_component
 
 
 def reference_dfs(g: Graph, L: dict, request: Request) -> tuple:
-    """(optimum, coloring, enumerated) by visiting every proper list
-    coloring depth-first in the oracle's `sweep_order`, colors ascending;
-    the first coloring of the largest value is kept."""
-    order = sweep_order(g, L)
+    """(optimum, enumerated) by visiting every proper list coloring
+    depth-first, vertices in the order 0, 1, ..., n - 1."""
     if request.kind == "unweighted":
         gain, zero = {vc: 1 for vc in request.prefs.items()}, 0
     elif request.kind == "unique":
@@ -31,27 +29,23 @@ def reference_dfs(g: Graph, L: dict, request: Request) -> tuple:
         zero = Fraction(0)
     else:
         gain, zero = dict(request.table), Fraction(0)
-    best = [None, None, 0]  # value, coloring, leaves
+    best = [None, 0]  # value, leaves
     color = {}
 
-    def rec(i, value):
-        if i == len(order):
-            best[2] += 1
+    def rec(v, value):
+        if v == g.n:
+            best[1] += 1
             if best[0] is None or value > best[0]:
-                best[0], best[1] = value, dict(color)
+                best[0] = value
             return
-        v = order[i]
         used = {color[u] for u in g.neighbors(v) if u in color}
-        for c in sorted(L[v]):
-            if c not in used:
-                color[v] = c
-                rec(i + 1, value + gain.get((v, c), zero))
-                del color[v]
+        for c in L[v] - used:
+            color[v] = c
+            rec(v + 1, value + gain.get((v, c), zero))
+            del color[v]
 
     rec(0, zero)
-    if best[1] is None:
-        return zero, None, 0
-    return tuple(best)
+    return (zero if best[0] is None else best[0]), best[1]
 
 
 @st.composite
@@ -149,6 +143,14 @@ class TestOptimalSatisfaction:
         with pytest.raises(BudgetExceededError):
             optimal_satisfaction(g, L, Request("unweighted", prefs={0: 1}), budget=10)
 
+    def test_ties_take_the_smallest_color(self):
+        # 0 goes first (degree 1, list 2, smaller id); read back in
+        # reverse, 1 takes 1, the smallest color of a best coloring, and
+        # 0 the smallest color left to it
+        g = Graph(2, [(0, 1)])
+        res = optimal_satisfaction(g, {0: {1, 2}, 1: {1, 2}}, Request("unweighted"))
+        assert res.coloring == {0: 2, 1: 1} and res.enumerated == 2
+
     def test_deterministic(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         L = {v: {1, 2, 3} for v in range(4)}
@@ -159,37 +161,42 @@ class TestOptimalSatisfaction:
 
 
 class TestFrontierSweep:
-    """The frontier dynamic program against the depth-first reference."""
+    """Bucket elimination against the depth-first reference, its cells
+    and its scaling."""
 
     @settings(max_examples=300, deadline=None)
     @given(oracle_cases())
     def test_matches_reference_dfs(self, case):
         g, L, request = case
         res = optimal_satisfaction(g, L, request)
-        optimum, coloring, enumerated = reference_dfs(g, L, request)
+        optimum, enumerated = reference_dfs(g, L, request)
         assert res.optimum == optimum and type(res.optimum) is type(optimum)
-        assert res.coloring == coloring
         assert res.enumerated == enumerated
+        assert res.colorable == (enumerated > 0)
+        if res.colorable:
+            check_coloring(g, L, res.coloring)
+            assert satisfied_amount(g, L, res.coloring, request) == optimum
         colorable = optimal_satisfaction(g, L, Request("unweighted")).colorable
         assert colorable == (enumerated > 0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(oracle_cases())
-    def test_order_matches_rescan(self, case):
-        g, L, _ = case
-        assert sweep_order(g, L) == reference_sweep_order(g, L)
-
     def test_ktree_order_and_states(self):
-        # the min-frontier order keeps the sweep of this 2-tree, with
-        # 3 * 10**15 proper colorings, to a few thousand states
+        # every scope of this 2-tree, with 3 * 10**15 proper colorings,
+        # has two vertices, so each of its 60 vertices takes at most 3**3
+        # cells
         inst = random_ktree(7, 60, 2)
-        assert sweep_order(inst.g, inst.L) == reference_sweep_order(inst.g, inst.L)
         request = Request("unweighted", prefs=inst.request.prefs)
-        res = optimal_satisfaction(inst.g, inst.L, request, budget=10**30)
+        res = optimal_satisfaction(inst.g, inst.L, request)
         assert res.optimum == 39 and res.enumerated == 3086392575467520
-        assert res.states <= 5000
+        assert res.cells == elimination_order(inst.g, inst.L)[2] <= 60 * 3**3
         check_coloring(inst.g, inst.L, res.coloring)
         assert satisfied_amount(inst.g, inst.L, res.coloring, request) == 39
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 60), st.sampled_from([2, 3]))
+    def test_min_degree_scopes_of_ktrees(self, seed, extra, k):
+        inst = random_ktree(seed, k + 1 + extra, k)
+        _, scopes, _ = elimination_order(inst.g, inst.L, budget=10**30)
+        assert max(map(len, scopes)) <= k
 
     @pytest.mark.parametrize("shape", ["path", "star"])
     def test_order_and_sweep_about_linear(self, shape):
@@ -205,6 +212,18 @@ class TestFrontierSweep:
             return work
 
         assert run(8000) / run(2000) < 8
+
+    def test_two_tree_doubling(self):
+        # a path decomposition of a random 2-tree widens with n; the
+        # elimination's scopes do not, so 4 times the vertices cost
+        # about 4 times the work
+        def run(n):
+            inst = random_ktree(3, n, 2)
+            work, res = lines_run(optimal_satisfaction, inst.g, inst.L, inst.request)
+            assert res.colorable
+            return work
+
+        assert run(1200) / run(300) < 8
 
     def test_two_cliques_matching_count(self):
         inst = two_cliques_matching(5)
@@ -226,6 +245,53 @@ class TestFrontierSweep:
         assert optimal_satisfaction(g, L, Request("unweighted")).colorable
         L[1] = {1}
         assert not optimal_satisfaction(g, L, Request("unweighted")).colorable
+
+
+def wide_degree_four(n: int) -> tuple:
+    """A cycle through 0, ..., n - 1 and one through a random order of the
+    same vertices: maximum degree 4, an expander, so every elimination
+    order is wide; lists {1, 2, 3}."""
+    order = random.Random(n).sample(range(n), n)
+    edges = {(v, (v + 1) % n) for v in range(n)}
+    edges |= {(order[i - 1], order[i]) for i in range(n)}
+    g = Graph(n, sorted({(min(e), max(e)) for e in edges if e[0] != e[1]}))
+    return g, {v: {1, 2, 3} for v in range(n)}
+
+
+class TestCellBudget:
+    def test_ktree_document_within_default_budget(self, capsys, tmp_path):
+        # its list product, 3**60, exceeds the default budget; its cells
+        # do not
+        doc = str(tmp_path / "ktree.fi")
+        assert main(["generate", "ktree", "--seed", "7", "--n", "60", "--out", doc]) == 0
+        assert main(["oracle", doc]) == 0
+        out, err = capsys.readouterr()
+        assert "colorable yes" in out and err == ""
+
+    def test_wide_document_exits_3(self, capsys, tmp_path):
+        g, L = wide_degree_four(20000)
+        doc = tmp_path / "wide.fi"
+        doc.write_text(serialize(InstanceFile(g, L, Request("unweighted", prefs={0: 1}))))
+        assert main(["oracle", str(doc)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error budget ") and err.count("\n") == 1
+
+    def test_wide_order_abandoned_early(self):
+        # the order stops when its cells pass the budget, so doubling n
+        # adds only the linear set-up (1.8 times the work); finishing
+        # the order first, with its fill cliques of hundreds of vertices,
+        # gives 3.8
+        def run(n):
+            g, L = wide_degree_four(n)
+
+            def attempt():
+                with pytest.raises(BudgetExceededError):
+                    optimal_satisfaction(g, L, Request("unweighted"))
+
+            return lines_run(attempt)[0]
+
+        assert run(2000) / run(1000) < 2.5
 
 
 class TestBadComponentBruteforce:
