@@ -291,10 +291,6 @@ def hypergraph_spanning_set(h: Hypergraph, d: int) -> list:
     if not is_three_edge_connected(h):
         raise PreconditionError("hypergraph is not 3-edge-connected")
     n, E = h.n, h.edges
-    if n * 3 > len(E) * d and n > 1:
-        raise InternalInvariantError(
-            f"{len(E)} edges of size <= {d} cannot 3-edge-connect {n} vertices"
-        )
     result = _spanning_set_rec(h, d)
     uf = _UnionFind(n)
     comps = n
@@ -381,17 +377,10 @@ def _spanning_set_rec(h: Hypergraph, d: int) -> list:
         contracted = tuple(sorted({root_ids[uf.find(v)] for v in e}))
         small_edges.append(contracted)
         back.append(i)
-    d_next = (d + 5) // 3  # ceil(d/3 + 1)
-    if any(len(e) > d_next for e in small_edges):
-        raise InternalInvariantError(
-            "an uncollected edge still meets too many components"
-        )
-    inner = Hypergraph(len(root_ids), tuple(small_edges))
-    if not is_three_edge_connected(inner):
-        raise InternalInvariantError(
-            "contracted hypergraph lost 3-edge-connectivity"
-        )
-    chosen = _spanning_set_rec(inner, d_next)
+    # each uncollected edge meets fewer than `need` components, and a cut
+    # of the contraction is a cut of h that no A1 edge crosses, so the
+    # contraction is 3-edge-connected with edges of size <= need - 1
+    chosen = _spanning_set_rec(Hypergraph(len(root_ids), tuple(small_edges)), need - 1)
     return list(A1) + [back[i] for i in chosen]
 
 

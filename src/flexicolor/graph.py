@@ -1,6 +1,6 @@
 """Simple undirected graphs and the structural decompositions the solvers
-rely on: block-cut trees, k-tree orders, treedepth forests and power-graph
-colorings.
+rely on: block-cut trees, k-tree orders, treedepth forests and colorings
+of g and of its powers, the latter read off g by bounded walks.
 
 Vertices are dense integers 0..n-1.  All values are immutable after
 construction; every tie-break is by smallest vertex id or smallest color.
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import filterfalse
 from typing import Container, Iterable, Optional
 
@@ -121,32 +122,6 @@ class Graph:
                     dist[u] = dist[v] + 1
                     q.append(u)
         return dist
-
-    def power(self, d: int) -> "Graph":
-        """Graph with edges between distinct vertices at distance <= d.
-
-        A d-step breadth-first search from each source visits only what
-        lies within distance d, so bounded degree keeps the cost linear.
-        """
-        if d < 1:
-            raise PreconditionError(f"power must be >= 1, got {d}")
-        if d == 1:
-            return self
-        adj = self._adj
-        edges = []
-        for s in range(self.n):
-            seen = {s}
-            frontier = [s]
-            for _ in range(d):
-                nxt = []
-                for v in frontier:
-                    for u in adj[v]:
-                        if u not in seen:
-                            seen.add(u)
-                            nxt.append(u)
-                frontier = nxt
-            edges.extend((s, t) for t in sorted(seen) if t > s)
-        return Graph._from_sorted(self.n, edges)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph; returns (graph, original ids by new id)."""
@@ -476,22 +451,40 @@ def _brooks_two_connected(g: Graph, delta: int) -> dict[int, int]:
 
 
 def proper_coloring(g: Graph, power: int, mode: str) -> dict[int, int]:
-    """Proper coloring of the power graph g^power.
-
-    mode "greedy" processes vertices in id order and uses at most
-    maxdeg+1 colors; mode "brooks" uses at most maxdeg colors and fails
-    on complete graphs and odd cycles.
+    """Proper coloring of g^power, which joins the vertices at distance
+    <= power in g.  mode "greedy" gives each vertex in id order the least
+    color missing from its ball of radius `power`, found by a walk in g,
+    so g^power is never built; mode "brooks" colors g (power 1 only) with
+    at most maxdeg colors and fails on complete graphs and odd cycles.
     """
     if power not in (1, 3):
         raise PreconditionError(f"power must be 1 or 3, got {power}")
     if mode not in ("greedy", "brooks"):
         raise PreconditionError(f"unknown coloring mode {mode!r}")
-    h = g.power(power)
     if mode == "greedy":
-        return _list_greedy(h, [range(h.max_degree() + 1)] * h.n, range(h.n), {})
-    h.require_connected()
-    coloring = _brooks_coloring(h)
-    for u, v in h.edges:
+        adj, col = g._adj, [-1] * g.n
+        for s in range(g.n):
+            # the ball of radius `power` around s, by breadth-first search
+            ball, frontier = {s}, [s]
+            for _ in range(power):
+                nxt = []
+                for v in frontier:
+                    for u in adj[v]:
+                        if u not in ball:
+                            ball.add(u)
+                            nxt.append(u)
+                frontier = nxt
+            used = {col[u] for u in ball}
+            c = 0
+            while c in used:
+                c += 1
+            col[s] = c
+        return dict(enumerate(col))
+    if power != 1:
+        raise PreconditionError(f"Brooks coloring needs power 1, got {power}")
+    g.require_connected()
+    coloring = _brooks_coloring(g)
+    for u, v in g.edges:
         if coloring[u] == coloring[v]:
             raise InternalInvariantError(f"improper Brooks coloring at edge ({u},{v})")
     return coloring
@@ -569,39 +562,52 @@ class TreedepthForest:
 
     parent: tuple[Optional[int], ...]  # parent[v] is None for roots
 
+    @cached_property
+    def _tour(self) -> tuple[list[int], list[int], list[int]]:
+        """Depth, preorder index and subtree size of every vertex, from one
+        walk down from the roots.  The vertices it misses lie on or lead
+        into a parent cycle; the least of them is named in the error."""
+        n = len(self.parent)
+        children: list[list[int]] = [[] for _ in range(n)]
+        stack = []
+        for v, p in enumerate(self.parent):
+            (stack if p is None else children[p]).append(v)
+        depth, pre, size = [0] * n, [-1] * n, [1] * n
+        order = []
+        while stack:
+            v = stack.pop()
+            pre[v] = len(order)
+            order.append(v)
+            for c in children[v]:
+                depth[c] = depth[v] + 1
+                stack.append(c)
+        if len(order) < n:
+            raise PreconditionError(f"parent cycle through vertex {pre.index(-1)}")
+        for v in reversed(order):
+            if self.parent[v] is not None:
+                size[self.parent[v]] += size[v]
+        return depth, pre, size
+
     def depth(self, v: int) -> int:
-        d = 0
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
+        return self._tour[0][v]
 
     def height(self) -> int:
         """Vertices on the longest root-to-leaf path."""
-        return max((self.depth(v) for v in range(len(self.parent))), default=-1) + 1
+        return max(self._tour[0], default=-1) + 1
 
-    def ancestors(self, v: int) -> set[int]:
-        out = set()
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            out.add(v)
-        return out
+    def is_ancestor(self, u: int, v: int) -> bool:
+        """Whether u is strictly above v, from their preorder intervals."""
+        _, pre, size = self._tour
+        return pre[u] < pre[v] < pre[u] + size[u]
 
     def validate(self, g: Graph) -> None:
         if len(self.parent) != g.n:
             raise PreconditionError(
                 f"forest covers {len(self.parent)} vertices, graph has {g.n}"
             )
-        for v in range(g.n):
-            seen = {v}
-            u = self.parent[v]
-            while u is not None:
-                if u in seen:
-                    raise PreconditionError(f"parent cycle through vertex {v}")
-                seen.add(u)
-                u = self.parent[u]
+        self._tour  # raises on a parent cycle, edges or not
         for u, v in g.edges:
-            if u not in self.ancestors(v) and v not in self.ancestors(u):
+            if not (self.is_ancestor(u, v) or self.is_ancestor(v, u)):
                 raise PreconditionError(
                     f"edge ({u},{v}) joins vertices unrelated in the forest"
                 )

@@ -71,10 +71,10 @@ def _trimmed_lists(inst: TdInstance, prefs: dict) -> dict:
     return out
 
 
-def _component_root(comp: list, depth: dict, ancestors: dict) -> int:
-    root = min(comp, key=lambda v: (depth[v], v))
+def _component_root(comp: list, forest: TreedepthForest) -> int:
+    root = min(comp, key=lambda v: (forest.depth(v), v))
     for v in comp:
-        if v != root and root not in ancestors[v]:
+        if v != root and not forest.is_ancestor(root, v):
             raise InternalInvariantError(
                 f"component root {root} is not an ancestor of vertex {v}"
             )
@@ -119,8 +119,7 @@ class _Recursion:
         self.g = inst.g
         self.adj = {v: inst.g.neighbors(v) for v in range(inst.g.n)}
         self.prefs = prefs
-        self.depth = {v: inst.forest.depth(v) for v in range(inst.g.n)}
-        self.anc = {v: inst.forest.ancestors(v) for v in range(inst.g.n)}
+        self.forest = inst.forest
         self.lists0 = _trimmed_lists(inst, prefs)
         self.k = inst.k
 
@@ -171,7 +170,7 @@ def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
     ]
     while stack:
         comp, lists, h = stack.pop()
-        root = _component_root(comp, rec.depth, rec.anc)
+        root = _component_root(comp, rec.forest)
         choices = sorted(lists[root])
         if len(choices) != h:
             raise PreconditionError(

@@ -213,8 +213,9 @@ def two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
 # ---------------------------------------------------------------------------
 # k-trees with class-split lists
 
-# the most members lambda_family builds before it gives up
-FAMILY_CAP = 10**6
+# the most dict entries (members times vertices) lambda_family builds
+# before it gives up: about 100 MB with the copies the recursion makes
+FAMILY_CAP = 2 * 10**6
 
 
 def build_SA(g: Graph, order: KTreeOrder, A: Iterable[int], lam_t: int) -> set:
@@ -339,9 +340,10 @@ def lambda_family(
                 f"vertex {v} has list size {len(L[v])}, expected {k + 1}"
             )
     size = family_size(lam)
-    if size > FAMILY_CAP:
+    if size * g.n > FAMILY_CAP:
         raise BudgetExceededError(
-            f"family would have {size} members, above the cap {FAMILY_CAP}"
+            f"family would have {size} members of {g.n} entries each, "
+            f"above the cap of {FAMILY_CAP} entries"
         )
     fam = _lambda_family_rec(g, order, lam, classes, L)
     if len(fam.members) != size:

@@ -340,7 +340,7 @@ def _unique_prefs(request: Optional[Request]) -> dict:
 
 
 def _sample(rec, comp: list, lists: dict, h: int, rng: random.Random) -> dict:
-    root = _component_root(comp, rec.depth, rec.anc)
+    root = _component_root(comp, rec.forest)
     if len(lists[root]) != h:
         raise PreconditionError(
             f"vertex {root} has list size {len(lists[root])} at a "
@@ -371,7 +371,7 @@ def reference_sample_coloring(
 
 
 def _probability(rec, comp: list, lists: dict, h: int, v: int, c: int) -> Fraction:
-    root = _component_root(comp, rec.depth, rec.anc)
+    root = _component_root(comp, rec.forest)
     choices = sorted(lists[root])
     if len(choices) != h:
         raise PreconditionError(
@@ -393,7 +393,7 @@ def _probability(rec, comp: list, lists: dict, h: int, v: int, c: int) -> Fracti
 
 
 def _expected_weight(rec, comp: list, lists: dict, h: int, weights: dict) -> Fraction:
-    root = _component_root(comp, rec.depth, rec.anc)
+    root = _component_root(comp, rec.forest)
     total = Fraction(0)
     for rc in sorted(lists[root]):
         value = Fraction(0)
@@ -408,7 +408,7 @@ def _expected_weight(rec, comp: list, lists: dict, h: int, weights: dict) -> Fra
 
 
 def _derandomize(rec, comp: list, lists: dict, h: int, weights: dict) -> dict:
-    root = _component_root(comp, rec.depth, rec.anc)
+    root = _component_root(comp, rec.forest)
     best_c = None
     best_val = None
     for rc in sorted(lists[root]):
@@ -807,3 +807,52 @@ def game_connectivity_by_trees(g: Graph, cap: int = 8) -> Fraction:
         if kappa is None or val < kappa:
             kappa = val
     return kappa
+
+
+def reference_power(g: Graph, d: int) -> Graph:
+    """Graph with edges between distinct vertices at distance <= d in g,
+    from a d-step breadth-first search per source."""
+    if d < 1:
+        raise PreconditionError(f"power must be >= 1, got {d}")
+    edges = []
+    for s in range(g.n):
+        seen = {s}
+        frontier = [s]
+        for _ in range(d):
+            nxt = []
+            for v in frontier:
+                for u in g.neighbors(v):
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        edges.extend((s, t) for t in sorted(seen) if t > s)
+    return Graph._from_sorted(g.n, edges)
+
+
+def reference_forest_error(forest: TreedepthForest, g: Graph) -> Optional[str]:
+    """The message of the first error in the forest as a treedepth
+    certificate of g, or None."""
+    parent = forest.parent
+    if len(parent) != g.n:
+        return f"forest covers {len(parent)} vertices, graph has {g.n}"
+
+    def ancestors(v):
+        out = set()
+        while parent[v] is not None:
+            v = parent[v]
+            out.add(v)
+        return out
+
+    for v in range(g.n):
+        seen = {v}
+        u = parent[v]
+        while u is not None:
+            if u in seen:
+                return f"parent cycle through vertex {v}"
+            seen.add(u)
+            u = parent[u]
+    for u, v in g.edges:
+        if u not in ancestors(v) and v not in ancestors(u):
+            return f"edge ({u},{v}) joins vertices unrelated in the forest"
+    return None

@@ -7,11 +7,12 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexicolor import cli, graph, listcolor, treedepth
+from flexicolor import cli, graph, listcolor, treedepth, treewidth
 from flexicolor.cli import _parse_result, main
 from flexicolor.errors import FormatError
 from flexicolor.graph import TreedepthForest
@@ -253,6 +254,22 @@ class TestMalformedInput:
         argv = [a.format(inst=inst, res=res) for a in argv]
         err = self.error_line(capsys, argv)
         assert err.startswith("error format") and "UTF-8" in err
+
+    @pytest.mark.parametrize("lam,n", [("3,3,3", 200), ("2,3,3", 100)])
+    def test_family_over_the_entry_cap_exits_3(self, capsys, tmp_path, lam, n):
+        # 362,880 and 40,320 members of n entries each, 72.6 M and 4.03 M
+        # dict entries in all: the cap counts entries, so both stop
+        # before the first member is built
+        k = sum(map(int, lam.split(","))) - 1
+        inst = random_ktree(1, n, k, list_size=k + 1, palette=k + 1)
+        path = tmp_path / "inst.fi"
+        path.write_text(serialize(inst))
+        argv = ["solve", str(path), "--method", "lambda", "--lam", lam]
+        with mock.patch.object(treewidth, "_lambda_family_rec") as build:
+            code, _, err = run(argv, capsys)
+        assert code == 3 and len(err.splitlines()) == 1, err
+        assert err.startswith("error budget family would have") and "cap" in err
+        assert build.call_count == 0
 
     @pytest.mark.parametrize("lam", ["x,1", "0,1", "1,,2", "-1,2"])
     def test_bad_lam(self, capsys, tmp_path, lam):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flexicolor import degeneracy
 from flexicolor.errors import PreconditionError
 from flexicolor.graph import Graph
 from flexicolor.degeneracy import (
@@ -166,6 +168,44 @@ class TestSpanningSet:
             A = hypergraph_spanning_set(h, d)
             assert len(A) <= (1 - epsilon_value(d)) * len(h.edges)
             accepted += 1
+
+    def test_recursion_receives_three_edge_connected_hypergraphs(self):
+        # _spanning_set_rec trusts that contracting the components keeps
+        # 3-edge-connectivity and the edge-size bound; check every
+        # hypergraph it is handed, from random accepted inputs and from
+        # the pipeline, which runs the flow test once per request
+        received = []
+        rec = degeneracy._spanning_set_rec
+
+        def spy(h, d):
+            received.append((h, d))
+            return rec(h, d)
+
+        rng = random.Random(3)
+        accepted = 0
+        with mock.patch.object(degeneracy, "_spanning_set_rec", spy):
+            while accepted < 40:
+                n, d, m = rng.randint(2, 8), rng.randint(2, 5), rng.randint(3, 14)
+                h = Hypergraph.build(n, [
+                    rng.sample(range(n), rng.randint(1, min(d, n))) for _ in range(m)
+                ])
+                if is_three_edge_connected(h):
+                    hypergraph_spanning_set(h, d)
+                    accepted += 1
+            for n in (10, 20, 40):
+                with mock.patch.object(
+                    degeneracy,
+                    "_hyper_edge_connectivity",
+                    wraps=degeneracy._hyper_edge_connectivity,
+                ) as flow:
+                    flexible_degeneracy_order(random_three_connected(1, n).g, range(n))
+                assert flow.call_count == 1
+        assert len(received) > 40 + 3  # some calls recursed
+        for h, d in received:
+            assert h.max_edge_size() <= d
+            assert is_three_edge_connected(h)
+            if h.n <= 14:
+                assert brute_three_edge_connected(h)
 
 
 class TestPipeline:

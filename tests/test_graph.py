@@ -16,8 +16,9 @@ from flexicolor.graph import (
     proper_coloring,
     validate_ktree_order,
 )
-from flexicolor.instances import random_bounded_degree
+from flexicolor.instances import InstanceFile, parse, random_bounded_degree, serialize
 from linecount import lines_run
+from reference import reference_forest_error, reference_power
 
 
 def random_connected(rng, n, extra=2):
@@ -128,7 +129,6 @@ class TestGraphBasics:
         assert same_as_checked(sub)
         for comp, part in g.components_without({0, 3, 6}):
             assert part == g.induced(comp)[0] and same_as_checked(part)
-        assert same_as_checked(g.power(3))
 
     def test_components_sorted(self):
         g = Graph(5, [(3, 4), (0, 1)])
@@ -136,25 +136,6 @@ class TestGraphBasics:
         assert not g.is_connected()
         with pytest.raises(DisconnectedGraphError):
             g.require_connected()
-
-    def test_power_cube(self):
-        # path 0-1-2-3-4: cube connects everything within distance 3
-        g = Graph(5, [(i, i + 1) for i in range(4)])
-        g3 = g.power(3)
-        assert g3.has_edge(0, 3) and not g3.has_edge(0, 4)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 14), st.floats(0.05, 0.6))
-    def test_power_is_distance_at_most_d(self, seed, n, density):
-        g = random_sparse(random.Random(seed), n, density)
-        for d in (1, 2, 3):
-            want = {
-                (s, t)
-                for s in range(n)
-                for t, dist in enumerate(g.bfs_distances(s))
-                if s < t and 0 < dist <= d
-            }
-            assert set(g.power(d).edges) == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 14), st.floats(0.05, 0.6))
@@ -227,6 +208,32 @@ class TestBlockCutTree:
 
 
 class TestProperColoring:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 14), st.floats(0.05, 0.6))
+    def test_greedy_equals_greedy_on_reference_power(self, seed, n, density):
+        g = random_sparse(random.Random(seed), n, density)
+        for d in (1, 2, 3):
+            h = reference_power(g, d)
+            assert set(h.edges) == {
+                (s, t)
+                for s in range(n)
+                for t, dist in enumerate(g.bfs_distances(s))
+                if s < t and 0 < dist <= d
+            }
+            if d == 2:
+                continue
+            # the id-order greedy over range(maxdeg(h) + 1) on the whole
+            # power graph, as proper_coloring ran before it walked g
+            want = graph_module._list_greedy(
+                h, [range(h.max_degree() + 1)] * n, range(n), {}
+            )
+            assert proper_coloring(g, d, "greedy") == want
+
+    def test_brooks_needs_power_one(self):
+        g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        with pytest.raises(PreconditionError, match="power 1"):
+            proper_coloring(g, 3, "brooks")
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(5, 12))
     def test_greedy_is_proper_and_bounded(self, seed, n):
@@ -336,7 +343,7 @@ class TestTreedepthForest:
     def test_depth_height_ancestors(self):
         f = TreedepthForest((None, 0, 1, None))
         assert f.depth(2) == 2 and f.height() == 3
-        assert f.ancestors(2) == {0, 1}
+        assert [u for u in range(4) if f.is_ancestor(u, 2)] == [0, 1]
 
     def test_validate_rejects_cross_edge(self):
         f = TreedepthForest((None, 0, 0))
@@ -348,6 +355,56 @@ class TestTreedepthForest:
         f = TreedepthForest((None, 0, 1))
         TreedepthForest((None, 0, 1)).validate(Graph(3, [(0, 1), (0, 2), (1, 2)]))
         f.validate(Graph(3, [(0, 2)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_same_first_error_as_the_walks(self, n, data):
+        # parents and edges drawn freely, so some forests have parent
+        # cycles and some edges join vertices unrelated in the forest
+        parent = tuple(
+            data.draw(st.one_of(st.none(), st.integers(0, n - 1)), label=f"p{v}")
+            for v in range(n)
+        )
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        g = Graph(n, sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]}))
+        f = TreedepthForest(parent)
+        want = reference_forest_error(f, g)
+        try:
+            f.validate(g)
+            got = None
+        except PreconditionError as exc:
+            got = str(exc)
+        assert got == want
+        if "cycle" not in (want or ""):
+            # the walks up from every vertex that the tour replaces
+            above = []
+            for v in range(n):
+                chain, u = set(), parent[v]
+                while u is not None:
+                    chain.add(u)
+                    u = parent[u]
+                above.append(chain)
+            assert [f.depth(v) for v in range(n)] == list(map(len, above))
+            assert f.height() == max(map(len, above)) + 1
+            for u, v in combinations(range(n), 2):
+                assert f.is_ancestor(u, v) == (u in above[v])
+                assert f.is_ancestor(v, u) == (v in above[u])
+
+    def test_validate_time_linear_in_depth(self):
+        def work(n):
+            # a path under a path forest: height n, every edge a
+            # parent link
+            inst = InstanceFile(
+                Graph(n, [(v - 1, v) for v in range(1, n)]),
+                {v: {0} for v in range(n)},
+                forest=TreedepthForest((None, *range(n - 1))),
+            )
+            return lines_run(parse, serialize(inst))[0]
+
+        # four times the vertices: a linear check does about 4 times the
+        # work, a walk to the root from every vertex about 16 times
+        ratio = work(8000) / work(2000)
+        assert ratio < 6, ratio
 
 
 class TestPowerScaling:
