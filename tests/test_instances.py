@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import sys
@@ -380,16 +381,23 @@ class TestCanonicalBothWays:
 
 class TestParseScaling:
     def test_parse_time_linear_in_document(self):
-        def best_of_three(n):
+        def best_of_five(n):
             text = serialize(random_ktree(1, n, 2, request_size=n // 4))
             best = float("inf")
-            for _ in range(3):
-                start = time.process_time()
-                parse(text)
-                best = min(best, time.process_time() - start)
+            for _ in range(5):
+                # a full collection walks every object the test session
+                # holds, so it would time the heap rather than the parse
+                gc.collect()
+                gc.disable()
+                try:
+                    start = time.process_time()
+                    parse(text)
+                    best = min(best, time.process_time() - start)
+                finally:
+                    gc.enable()
             return best
 
         # four times the vertices: linear parsing takes about 4 times as
         # long, a quadratic duplicate-edge scan about 15 times
-        ratio = best_of_three(16000) / best_of_three(4000)
+        ratio = best_of_five(16000) / best_of_five(4000)
         assert ratio < 8, ratio
