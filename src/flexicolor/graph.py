@@ -7,6 +7,7 @@ construction; every tie-break is by smallest vertex id or smallest color.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,7 +81,10 @@ class Graph:
         return max((len(a) for a in self._adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        """A binary search of u's sorted adjacency: O(log deg u)."""
+        adj = self._adj[u]
+        i = bisect_left(adj, v)
+        return i < len(adj) and adj[i] == v
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""

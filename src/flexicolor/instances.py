@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, compress, count, islice, repeat
 from operator import eq, gt, lt, not_
@@ -35,17 +35,38 @@ class InstanceFile:
         """The one check of the instance invariants: the lists, the
         request, the k-tree order and the forest.  parse and serialize
         run it; the solvers take inputs that pass it as given."""
-        validate_lists(self.g, self.L)
+        self._raise_first(*_failures(self.g, self.L, self.ktree, self.forest))
+
+    def _raise_first(self, lists, order, forest) -> None:
+        """Raise the first failed check in the order lists, request,
+        k-tree order, forest; lists, order and forest are the failure
+        messages of those checks, None where one passed."""
+        if lists is not None:
+            raise PreconditionError(lists)
         if self.request is not None:
             self.request.validate(self.g, self.L)
-        if self.ktree is not None:
-            bad = validate_ktree_order(self.g, self.ktree)
-            if bad is not None:
-                raise PreconditionError(
-                    f"order invalid at position {bad.index}: {bad.message}"
-                )
-        if self.forest is not None:
-            self.forest.validate(self.g)
+        for failure in (order, forest):
+            if failure is not None:
+                raise PreconditionError(failure)
+
+
+def _failures(g: Graph, L: dict, ktree, forest) -> tuple:
+    """The failure messages of the checks of the lists, the k-tree order
+    and the forest, None for each that passes or is absent."""
+
+    def failure(check, *args) -> Optional[str]:
+        try:
+            check(*args)
+        except PreconditionError as exc:
+            return str(exc)
+        return None
+
+    bad = None if ktree is None else validate_ktree_order(g, ktree)
+    return (
+        failure(validate_lists, g, L),
+        None if bad is None else f"order invalid at position {bad.index}: {bad.message}",
+        None if forest is None else failure(forest.validate, g),
+    )
 
 
 def format_fraction(x) -> str:
@@ -221,7 +242,8 @@ def _list_lines(text: str, pos: int, lineno: int, n: int) -> tuple:
     """(end, lists) of the run of list lines at text[pos:]."""
     end, (vs, spelled) = _LISTS.read(text, pos, lineno)
     vs = list(map(int, vs))
-    # lists repeat across vertices, so each spelling is converted once
+    # lists repeat across vertices, so each spelling is converted once,
+    # to one frozenset that all its vertices share
     colors = {s: tuple(map(int, s.split())) for s in set(spelled)}
     ordered = {s for s, cs in colors.items() if all(map(lt, cs, cs[1:]))}
     bad = first_bad(
@@ -233,7 +255,8 @@ def _list_lines(text: str, pos: int, lineno: int, n: int) -> tuple:
             f"0..{n - 1}, colors strictly increasing",
             line=lineno + bad,
         )
-    return end, dict(enumerate(map(set, map(colors.__getitem__, spelled))))
+    lists = {s: frozenset(cs) for s, cs in colors.items()}
+    return end, dict(enumerate(map(lists.__getitem__, spelled)))
 
 
 def _request_lines(text: str, pos: int, lineno: int, kind: str) -> tuple:
@@ -276,6 +299,154 @@ _RANKS = {
 _REPEATED = frozenset({"edge", "list", "request"})
 
 
+@dataclass
+class _Sections:
+    """What the section lines read so far set, and the rank of the last
+    section read."""
+
+    rank: int = 0
+    name: str = ""
+    seed: Optional[int] = None
+    n: Optional[int] = None
+    edges: list = field(default_factory=list)
+    L: dict = field(default_factory=dict)
+    kt_k: Optional[int] = None
+    ktree: Optional[KTreeOrder] = None
+    forest: Optional[TreedepthForest] = None
+    kind: Optional[str] = None
+    prefs: dict = field(default_factory=dict)
+    weights: dict = field(default_factory=dict)
+    table: dict = field(default_factory=dict)
+
+    def read(self, text: str, pos: int, i: int) -> int:
+        """Read the sections of text[pos:], whose first line is line i,
+        raising at the first malformed line; returns the number the
+        line after them would have."""
+        while pos < len(text):
+            end = text.index("\n", pos) + 1
+            raw = text[pos : end - 1]
+            if not raw.strip():
+                raise FormatError("blank line not allowed", line=i)
+            key, *args = raw.split(" ")
+            if key not in _RANKS:
+                raise FormatError(f"unknown key {key!r}", line=i)
+            if _RANKS[key] < self.rank or (
+                _RANKS[key] == self.rank and key not in _REPEATED
+            ):
+                raise FormatError(f"key {key!r} out of order or repeated", line=i)
+            self.rank = _RANKS[key]
+            lines = 1
+            n = self.n
+            if key == "name":
+                if len(args) != 1 or not args[0]:
+                    raise FormatError("name takes one token", line=i)
+                self.name = args[0]
+            elif key == "seed":
+                if len(args) != 1:
+                    raise FormatError("seed takes one integer", line=i)
+                self.seed = parse_int(args[0], i, "seed")
+            elif key == "vertices":
+                if len(args) != 1:
+                    raise FormatError("vertices takes one integer", line=i)
+                self.n = parse_int(args[0], i, "vertex count")
+                if self.n <= 0:
+                    raise FormatError("vertex count must be positive", line=i)
+            elif key == "edge":
+                if n is None:
+                    raise FormatError("edge before vertices", line=i)
+                end, self.edges = _edge_lines(text, pos, i, n)
+                lines = len(self.edges)
+            elif key == "list":
+                if n is None:
+                    raise FormatError("list before vertices", line=i)
+                end, self.L = _list_lines(text, pos, i, n)
+                lines = len(self.L)
+            elif key == "ktree":
+                if len(args) != 1:
+                    raise FormatError("ktree takes one integer", line=i)
+                self.kt_k = parse_int(args[0], i, "ktree parameter")
+            elif key == "order":
+                if self.kt_k is None:
+                    raise FormatError("order requires a preceding ktree line", line=i)
+                seq = tuple(parse_ints(args, i, "order entry"))
+                # the length first: n may be far larger than the document
+                if len(seq) != (n or 0) or sorted(seq) != list(range(len(seq))):
+                    raise FormatError("order is not a vertex permutation", line=i)
+                self.ktree = KTreeOrder(self.kt_k, seq)
+            elif key == "td-parent":
+                if n is None or len(args) != n:
+                    raise FormatError(
+                        f"td-parent needs exactly {n} entries", line=i
+                    )
+                ps = parse_ints(args, i, "parent")
+                if min(ps) < -1 or max(ps) >= n:
+                    raise FormatError("a parent must be -1 or a vertex", line=i)
+                self.forest = TreedepthForest(
+                    tuple(None if p == -1 else p for p in ps)
+                )
+            elif key == "request-kind":
+                if len(args) != 1 or args[0] not in ("unweighted", "unique", "weighted"):
+                    raise FormatError("unknown request kind", line=i)
+                self.kind = args[0]
+            else:
+                if self.kind is None:
+                    raise FormatError("request before request-kind", line=i)
+                end, vs, cs, ws = _request_lines(text, pos, i, self.kind)
+                lines = len(vs)
+                if self.kind == "weighted":
+                    self.table = dict(zip(zip(vs, cs), ws))
+                else:
+                    self.prefs = dict(zip(vs, cs))
+                    if self.kind == "unique":
+                        self.weights = dict(zip(vs, ws))
+            pos, i = end, i + lines
+        return i
+
+    def request(self) -> Optional[Request]:
+        if self.kind is None:
+            return None
+        return Request(self.kind, self.prefs, self.weights, self.table)
+
+
+@dataclass(frozen=True)
+class _Body:
+    """The body of a document read, built and checked.  `missing` is the
+    end-of-document error and `failures` the messages of the instance
+    checks, kept for parse to raise once it has read the tail, which
+    carries on from the rank of `sections` and from line `lineno`.  g is
+    None when `missing` is set; `sections.L` is never handed out, each
+    parse gets a copy."""
+
+    sections: _Sections
+    lineno: int
+    g: Optional[Graph]
+    missing: Optional[str]
+    failures: tuple
+
+
+def _read_body(body: str) -> _Body:
+    """Read, build and check the body of a document; a malformed line
+    raises, at the line a reading of the whole document reports."""
+    s = _Sections()
+    lineno = s.read(body, len(FORMAT_HEADER) + 1, 2)
+    if s.n is None:
+        return _Body(s, lineno, None, "missing vertices line", ())
+    if len(s.L) != s.n:
+        missing = f"missing lists for vertices {len(s.L)}..{s.n - 1}"
+        return _Body(s, lineno, None, missing, ())
+    if s.ktree is None and s.kt_k is not None:
+        return _Body(s, lineno, None, "ktree line without an order line", ())
+    g = Graph._from_sorted(s.n, s.edges)
+    return _Body(s, lineno, g, None, _failures(g, s.L, s.ktree, s.forest))
+
+
+# (body, _read_body(body)) of the last body parsed, or None.  Requests on
+# one instance repeat its body, and solve and verify parse one document,
+# so one entry serves them; it is cleared before another body is read,
+# so the process never holds two.
+_last_body: list = [None]
+
+
 def parse(text: str) -> InstanceFile:
     """Strict parser that accepts exactly what `serialize` writes.
 
@@ -286,6 +457,13 @@ def parse(text: str) -> InstanceFile:
     its lines, its numbers are converted by map(int, ...), and its order is
     checked by pairwise comparisons, so parsing stays linear in the
     document with little Python work per line.
+
+    The body of the document, its lines before the first one that starts
+    with "request-kind", is read, built and checked once per process for
+    as long as it is the last body parsed: a document with the same body
+    reuses its graph, lists, order and forest, and only the tail, the
+    request, is read and checked again.  The result and the first error
+    do not depend on it; the lists of the result are frozensets.
     """
     if text.partition("\n")[0] != FORMAT_HEADER:
         raise FormatError(f"missing header {FORMAT_HEADER!r}", line=1)
@@ -293,112 +471,23 @@ def parse(text: str) -> InstanceFile:
         raise FormatError(
             "document must end with a newline", line=text.count("\n") + 1
         )
-    name = ""
-    seed: Optional[int] = None
-    n: Optional[int] = None
-    edges: list = []
-    L: dict = {}
-    ktree: Optional[KTreeOrder] = None
-    kt_k: Optional[int] = None
-    forest: Optional[TreedepthForest] = None
-    kind: Optional[str] = None
-    prefs: dict = {}
-    weights: dict = {}
-    table: dict = {}
-    rank = 0
-    pos, i = len(FORMAT_HEADER) + 1, 2
-    while pos < len(text):
-        end = text.index("\n", pos) + 1
-        raw = text[pos : end - 1]
-        if not raw.strip():
-            raise FormatError("blank line not allowed", line=i)
-        key, *args = raw.split(" ")
-        if key not in _RANKS:
-            raise FormatError(f"unknown key {key!r}", line=i)
-        if _RANKS[key] < rank or (_RANKS[key] == rank and key not in _REPEATED):
-            raise FormatError(f"key {key!r} out of order or repeated", line=i)
-        rank = _RANKS[key]
-        lines = 1
-        if key == "name":
-            if len(args) != 1 or not args[0]:
-                raise FormatError("name takes one token", line=i)
-            name = args[0]
-        elif key == "seed":
-            if len(args) != 1:
-                raise FormatError("seed takes one integer", line=i)
-            seed = parse_int(args[0], i, "seed")
-        elif key == "vertices":
-            if len(args) != 1:
-                raise FormatError("vertices takes one integer", line=i)
-            n = parse_int(args[0], i, "vertex count")
-            if n <= 0:
-                raise FormatError("vertex count must be positive", line=i)
-        elif key == "edge":
-            if n is None:
-                raise FormatError("edge before vertices", line=i)
-            end, edges = _edge_lines(text, pos, i, n)
-            lines = len(edges)
-        elif key == "list":
-            if n is None:
-                raise FormatError("list before vertices", line=i)
-            end, L = _list_lines(text, pos, i, n)
-            lines = len(L)
-        elif key == "ktree":
-            if len(args) != 1:
-                raise FormatError("ktree takes one integer", line=i)
-            kt_k = parse_int(args[0], i, "ktree parameter")
-        elif key == "order":
-            if kt_k is None:
-                raise FormatError("order requires a preceding ktree line", line=i)
-            seq = tuple(parse_ints(args, i, "order entry"))
-            # the length first: n may be far larger than the document
-            if len(seq) != (n or 0) or sorted(seq) != list(range(len(seq))):
-                raise FormatError("order is not a vertex permutation", line=i)
-            ktree = KTreeOrder(kt_k, seq)
-        elif key == "td-parent":
-            if n is None or len(args) != n:
-                raise FormatError(
-                    f"td-parent needs exactly {n} entries", line=i
-                )
-            ps = parse_ints(args, i, "parent")
-            if min(ps) < -1 or max(ps) >= n:
-                raise FormatError("a parent must be -1 or a vertex", line=i)
-            forest = TreedepthForest(
-                tuple(None if p == -1 else p for p in ps)
-            )
-        elif key == "request-kind":
-            if len(args) != 1 or args[0] not in ("unweighted", "unique", "weighted"):
-                raise FormatError("unknown request kind", line=i)
-            kind = args[0]
-        else:
-            if kind is None:
-                raise FormatError("request before request-kind", line=i)
-            end, vs, cs, ws = _request_lines(text, pos, i, kind)
-            lines = len(vs)
-            if kind == "weighted":
-                table = dict(zip(zip(vs, cs), ws))
-            else:
-                prefs = dict(zip(vs, cs))
-                if kind == "unique":
-                    weights = dict(zip(vs, ws))
-        pos, i = end, i + lines
-    if n is None:
-        raise FormatError("missing vertices line")
-    if len(L) != n:
-        raise FormatError(f"missing lists for vertices {len(L)}..{n - 1}")
-    if ktree is None and kt_k is not None:
-        raise FormatError("ktree line without an order line")
+    # the body ends where the first line starting "request-kind" begins
+    split = text.find("\nrequest-kind") + 1 or len(text)
+    key = text[:split]
+    last = _last_body[0]
+    if last is None or last[0] != key:
+        last = _last_body[0] = None
+        last = _last_body[0] = (key, _read_body(key))
+    body, s = last[1], last[1].sections
+    tail = _Sections(rank=s.rank)
+    tail.read(text, split, body.lineno)
+    if body.missing is not None:
+        raise FormatError(body.missing)
     try:
-        g = Graph._from_sorted(n, edges)
-        request = None
-        if kind == "unweighted":
-            request = Request("unweighted", prefs=prefs)
-        elif kind == "unique":
-            request = Request("unique", prefs=prefs, weights=weights)
-        elif kind == "weighted":
-            request = Request("weighted", table=table)
-        inst = InstanceFile(g, L, request, ktree, forest, name, seed)
-        inst.validate()
+        inst = InstanceFile(
+            body.g, dict(s.L), tail.request(), s.ktree, s.forest, s.name, s.seed
+        )
+        inst._raise_first(*body.failures)
     except PreconditionError as exc:
         raise FormatError(str(exc))
     return inst

@@ -21,6 +21,7 @@ from flexicolor.instances import (
     fig_3tree,
     fig_diamond,
     format_fraction,
+    parse,
     random_bounded_degree,
     random_ktree,
     random_three_connected,
@@ -30,6 +31,7 @@ from flexicolor.instances import (
 )
 from flexicolor.listcolor import Request
 from reference import reference_parse_result
+from test_instances import OTHER_BODY
 from test_listcolor import prism
 
 
@@ -491,13 +493,16 @@ class TestCertifiedRecomputed:
     def test_each_invariant_checked_once(
         self, capsys, tmp_path, monkeypatch, make, method
     ):
-        """solve and verify each check the coloring once; the lists, the
-        k-tree order and the forest of each parsed document are checked
-        once, when it is parsed."""
+        """solve and verify each check the coloring once.  The lists, the
+        k-tree order and the forest are checked once per process: solve
+        reads the body, verify gets its graph; a rewritten body is read
+        and checked once more."""
         path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
-        path.write_text(serialize(make()))
+        text = serialize(make())
+        path.write_text(text)
+        parse(OTHER_BODY)  # solve reads the body
         parsed, forests = [], []
-        parse, validate = cli.parse, TreedepthForest.validate
+        validate = TreedepthForest.validate
         monkeypatch.setattr(
             cli, "parse", lambda text: parsed.append(parse(text)) or parsed[-1]
         )
@@ -509,17 +514,29 @@ class TestCertifiedRecomputed:
         colorings = record_calls(monkeypatch, listcolor.check_coloring)
         lists = record_calls(monkeypatch, listcolor.validate_lists)
         orders = record_calls(monkeypatch, graph.validate_ktree_order)
+        checks = (lists, orders, forests)
         argv = ["solve", str(path), "--method", *method, "--out", str(res)]
         assert run(argv, capsys)[0] == 0
         assert len(colorings) == 1
         assert run(["verify", str(path), str(res)], capsys)[0] == 0
         assert len(colorings) == 2
-        assert len(parsed) == 2 and len(lists) == 2
-        for doc in parsed:
-            assert sum(g is doc.g for g in lists) == 1
-            assert sum(g is doc.g for g in orders) == (doc.ktree is not None)
-            assert sum(g is doc.g for g in forests) == (doc.forest is not None)
-        assert len(forests) == sum(doc.forest is not None for doc in parsed)
+        solved, verified = parsed
+        assert verified.g is solved.g
+        # the lambda family also checks the orders of its subgraphs
+        def on(g) -> list:
+            return [sum(h is g for h in check) for check in checks]
+
+        once = [1, solved.ktree is not None, solved.forest is not None]
+        assert on(solved.g) == once
+
+        name = f"\nname {solved.name}\n"
+        assert name in text
+        path.write_text(text.replace(name, "\nname rewritten\n"))
+        assert run(["verify", str(path), str(res)], capsys)[0] == 0
+        assert len(colorings) == 3
+        rewritten = parsed[-1]
+        assert rewritten.g is not solved.g and rewritten.g == solved.g
+        assert on(solved.g) == once and on(rewritten.g) == once
 
 
 def record_calls(monkeypatch, fn) -> list:

@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 from itertools import combinations
 from unittest import mock
 
@@ -112,6 +114,8 @@ class TestGraphBasics:
         assert trusted == checked and trusted.edges == checked.edges
         for v in range(n):
             assert trusted.neighbors(v) == checked.neighbors(v)
+            for u in range(-1, n + 1):
+                assert trusted.has_edge(v, u) == (u in checked.neighbors(v))
 
     def test_subgraph_builders_match_the_checking_constructor(self):
         def same_as_checked(h):
@@ -350,6 +354,31 @@ class TestKTreeOrder:
         assert validate_ktree_order(Graph(3, []), KTreeOrder(0, (0, 1, 2))) is None
         v = validate_ktree_order(Graph(2, [(0, 1)]), KTreeOrder(0, (0, 1)))
         assert v is not None
+
+    def test_validate_time_linear_on_a_fan(self):
+        def best_of_three(n):
+            # each vertex v >= 2 attaches to the edge (0, v - 1), so vertex
+            # 0 is a back-neighbour of every other vertex
+            g = Graph(n, [(0, v) for v in range(1, n)] + [(v - 1, v) for v in range(2, n)])
+            order = KTreeOrder(2, tuple(range(n)))
+            best = float("inf")
+            for _ in range(3):
+                gc.collect()
+                gc.disable()
+                try:
+                    start = time.process_time()
+                    assert validate_ktree_order(g, order) is None
+                    best = min(best, time.process_time() - start)
+                finally:
+                    gc.enable()
+            return best
+
+        # four times the vertices: about 4 times the time when a
+        # back-pair adjacency test is cheap, about 16 times when it scans
+        # vertex 0's adjacency.  The scan runs in C, so lines_run would
+        # not see it.
+        ratio = best_of_three(16000) / best_of_three(4000)
+        assert ratio < 8, ratio
 
 
 class TestTreedepthForest:

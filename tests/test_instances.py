@@ -306,6 +306,11 @@ def mutate(text: str, data) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a document whose body no other test document has: parsing it leaves
+# parse's slot holding a body that the next document does not share
+OTHER_BODY = "flexicolor-instance 1\nname other-body\nvertices 1\nlist 0 0\n"
+
+
 def outcome(parser, text: str):
     """("ok", the result serialized) or ("error", the line) of one parser."""
     try:
@@ -379,12 +384,169 @@ class TestCanonicalBothWays:
         assert outcome(reference_parse, broken) == ("error", line)
 
 
+def body_and_tail(text: str) -> tuple:
+    """The lines of text before its first request-kind line, and the
+    lines from it on."""
+    lines = text.split("\n")[:-1]
+    at = next(
+        (i for i, line in enumerate(lines) if line.split(" ")[0] == "request-kind"),
+        len(lines),
+    )
+    return lines[:at], lines[at:]
+
+
+# each fault of a body, and the key of the line it changes
+BODY_FAULTS = {
+    "none": None, "order": "order", "negative-color": "list",
+    "td-parent": "td-parent", "drop-list": "list", "drop-order": "order",
+}
+TAIL_MUTATIONS = (
+    "respell", "swap", "duplicate", "off-list", "vertex-past-n", "weight",
+    "bad-kind", "second-kind", "drop-tail", "add-tail",
+)
+
+
+def fault_body(body: list, data) -> list:
+    """The body with a fault that no line check sees: an order that is
+    no k-tree order, a negative list color, another td-parent entry, a
+    missing list line or a missing order line; or unchanged."""
+    rows = {line.split(" ")[0]: i for i, line in enumerate(body)}
+    kinds = [kind for kind, key in BODY_FAULTS.items() if key is None or key in rows]
+    kind = data.draw(st.sampled_from(kinds))
+    body = list(body)
+    if kind == "order":
+        toks = body[rows["order"]].split(" ")
+        a, b = data.draw(st.lists(st.integers(1, len(toks) - 1), min_size=2, max_size=2, unique=True))
+        toks[a], toks[b] = toks[b], toks[a]
+        body[rows["order"]] = " ".join(toks)
+    elif kind == "negative-color":
+        i = data.draw(st.sampled_from([i for i, line in enumerate(body) if line.startswith("list ")]))
+        toks = body[i].split(" ")
+        body[i] = " ".join(toks[:2] + ["-1"] + toks[3:])
+    elif kind == "td-parent":
+        toks = body[rows["td-parent"]].split(" ")
+        j = data.draw(st.integers(1, len(toks) - 1))
+        toks[j] = str(data.draw(st.integers(-1, len(toks) - 2)))
+        body[rows["td-parent"]] = " ".join(toks)
+    elif kind.startswith("drop"):
+        del body[rows[BODY_FAULTS[kind]]]
+    return body
+
+
+def mutate_tail(tail: list, n: int, data) -> list:
+    """The request lines with one change: a number respelled, two lines
+    swapped, a line duplicated, a color off its list, a vertex past the
+    last one, a weight of 0 or -1, an unknown or a second request-kind
+    line, every line dropped, or a request added to a document with
+    none."""
+    requests = list(range(1, len(tail)))
+    kinds = [
+        kind for kind in TAIL_MUTATIONS
+        if (kind == "add-tail") == (not tail)
+        and (kind != "swap" or len(requests) > 1)
+        and (kind not in ("respell", "duplicate", "off-list", "vertex-past-n") or requests)
+        and (kind != "weight" or (requests and tail[0] != "request-kind unweighted"))
+    ]
+    kind = data.draw(st.sampled_from(kinds))
+    tail = list(tail)
+    if kind == "add-tail":
+        return ["request-kind unweighted", f"request 0 {data.draw(st.integers(0, 4))}"]
+    if kind == "drop-tail":
+        return []
+    if kind == "bad-kind":
+        tail[0] = "request-kind bogus"
+    elif kind == "second-kind":
+        tail.insert(data.draw(st.integers(1, len(tail))), tail[0])
+    elif kind == "swap":
+        a, b = data.draw(st.lists(st.sampled_from(requests), min_size=2, max_size=2, unique=True))
+        tail[a], tail[b] = tail[b], tail[a]
+    elif kind == "duplicate":
+        i = data.draw(st.sampled_from(requests))
+        tail.insert(i, tail[i])
+    else:
+        i = requests[-1] if kind == "vertex-past-n" else data.draw(st.sampled_from(requests))
+        toks = tail[i].split(" ")
+        if kind == "respell":
+            j = data.draw(st.integers(1, len(toks) - 1))
+            toks[j] = data.draw(st.sampled_from(RESPELLINGS))(toks[j])
+        elif kind == "off-list":
+            toks[2] = "1000"
+        elif kind == "vertex-past-n":
+            toks[1] = str(n)
+        else:  # weight
+            toks[3] = data.draw(st.sampled_from(["0", "-1"]))
+        tail[i] = " ".join(toks)
+    return tail
+
+
+def full_outcome(text: str):
+    """outcome(parse, text), with the message of an error that has no
+    line."""
+    try:
+        return "ok", serialize(parse(text))
+    except FormatError as exc:
+        return "error", exc.line, None if exc.line is not None else str(exc)
+
+
+class TestWarmSlot:
+    """parse keeps the checked body of the last document it read; a
+    document with the same body must parse as it would from cold."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_body_documents_agree_with_the_reference(self, data):
+        body, tail = body_and_tail(data.draw(st.sampled_from(canonical_documents())))
+        body = fault_body(body, data)
+        n = int(next(line for line in body if line.startswith("vertices ")).split(" ")[1])
+        mutated = "\n".join(body + mutate_tail(tail, n, data)) + "\n"
+        parse(OTHER_BODY)
+        cold = full_outcome(mutated)
+        # the slot now holds the body, read from a document with another
+        # tail or with this one
+        full_outcome("\n".join(body + data.draw(st.sampled_from([tail, []]))) + "\n")
+        warm = full_outcome(mutated)
+        assert warm == cold
+        assert warm[:2] == outcome(reference_parse, mutated)[:2]
+
+    def test_bad_order_and_bad_request_line_give_the_request_line(self):
+        text = serialize(random_ktree(2, 9, 2, request_kind="unweighted"))
+        order = next(line for line in text.split("\n") if line.startswith("order "))
+        bad_order = text.replace(order, "order 0 1 8 2 3 4 5 6 7")
+        with pytest.raises(FormatError, match="order invalid at position 2") as warm:
+            parse(bad_order)
+        assert warm.value.line is None
+        request = bad_order[bad_order.index("\nrequest ") + 1 :].split("\n")[0]
+        line = bad_order.split("\n").index(request) + 1
+        both = bad_order.replace(request, request.replace(" ", " +", 1))
+        for _ in range(2):  # warm, then hit again
+            assert outcome(parse, both) == ("error", line)
+        assert outcome(reference_parse, both) == ("error", line)
+
+    def test_a_body_of_the_same_length_is_read(self):
+        text = serialize(random_ktree(4, 12, 2))
+        assert parse(text).seed == 4
+        assert parse(text.replace("\nseed 4\n", "\nseed 5\n")).seed == 5
+
+    def test_changing_a_parsed_instance_leaves_the_next_parse(self):
+        text = serialize(random_ktree(4, 12, 2))
+        first = parse(text)
+        assert all(isinstance(lst, frozenset) for lst in first.L.values())
+        first.L[0] = frozenset({99})
+        second = parse(text)
+        assert second.L is not first.L and serialize(second) == text
+        second.L = {}
+        second.request = None
+        third = parse(text)
+        assert serialize(third) == text and third.g is first.g
+
+
 class TestParseScaling:
     def test_parse_time_linear_in_document(self):
         def best_of_five(n):
             text = serialize(random_ktree(1, n, 2, request_size=n // 4))
             best = float("inf")
             for _ in range(5):
+                parse(OTHER_BODY)  # so that each timed parse reads the body
                 # a full collection walks every object the test session
                 # holds, so it would time the heap rather than the parse
                 gc.collect()
