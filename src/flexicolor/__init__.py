@@ -46,7 +46,6 @@ from .degeneracy import (
     Hypergraph,
     epsilon_value,
     flexible_degeneracy_order,
-    hypergraph_spanning_set,
     ordering_from_tree,
 )
 from .instances import InstanceFile, parse, serialize

@@ -90,9 +90,19 @@ def _emit(lines: list, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# the most list scans the color-class search makes before it gives up:
+# the search backtracks over the palette, exponentially in the worst
+# case, and a pass over every list is about a microsecond per list
+CLASS_SEARCH_SCANS = 2 * 10**5
+
+
 def _infer_classes(L: dict, lam: tuple) -> tuple:
     """Partition of the palette putting exactly lam[i] colors of every
-    list into class i, found by backtracking over colors."""
+    list into class i, found by backtracking over colors.
+
+    BudgetExceededError is raised at the scan of a list that would pass
+    CLASS_SEARCH_SCANS.
+    """
     no_partition = f"lists admit no color-class partition with parts {lam}"
     # every list takes lam[i] colors from each class i, so sum(lam) in all
     size = sum(lam)
@@ -101,11 +111,18 @@ def _infer_classes(L: dict, lam: tuple) -> tuple:
     palette = sorted(set().union(*L.values()))
     t = len(lam)
     assign: dict = {}
+    scans = 0
 
     def counts_ok(final: bool) -> bool:
         # per-class counts never exceed the part sizes; at the end they
         # must match exactly
-        for v, lst in L.items():
+        nonlocal scans
+        for lst in L.values():
+            scans += 1
+            if scans > CLASS_SEARCH_SCANS:
+                raise BudgetExceededError(
+                    f"color-class search passed {CLASS_SEARCH_SCANS} list scans"
+                )
             done = [0] * t
             for c in lst:
                 if c in assign:
@@ -183,8 +200,7 @@ def _solve(args) -> int:
                     f"--lam parts must be positive, got {args.lam}"
                 )
             classes = _infer_classes(L, lam)
-            family = lambda_family(g, inst.ktree, lam, classes, L)
-            coloring = best_of_family(g, L, family, request)
+            coloring = lambda_family(g, inst.ktree, lam, classes, L, request)
         else:  # treedepth
             coloring = derandomized_coloring(TdInstance(g, inst.forest, L), request)
         # the one check of the coloring in solve

@@ -188,68 +188,6 @@ class Hypergraph:
         return max((len(e) for e in self.edges), default=0)
 
 
-def _hyper_edge_connectivity(h: Hypergraph) -> int:
-    """Edge connectivity, computed only far enough to compare with 3.
-
-    Max-flow with unit capacity per hyperedge between vertex 0 and every
-    other vertex; augmenting paths stop once 3 are found.
-    """
-    need = 3
-    if h.n <= 1:
-        return need
-    # node ids: vertices 0..n-1, edge e -> in node n+2i, out node n+2i+1
-    INF = len(h.edges) + need + 1
-    best = need
-    for t in range(1, h.n):
-        cap: dict = {}
-
-        def add(a, b, c):
-            cap[(a, b)] = cap.get((a, b), 0) + c
-            cap.setdefault((b, a), 0)
-
-        adj: dict = {}
-        for i, e in enumerate(h.edges):
-            ein, eout = h.n + 2 * i, h.n + 2 * i + 1
-            add(ein, eout, 1)
-            adj.setdefault(ein, []).append(eout)
-            adj.setdefault(eout, []).append(ein)
-            for v in e:
-                add(v, ein, INF)
-                add(eout, v, INF)
-                adj.setdefault(v, []).append(ein)
-                adj.setdefault(ein, []).append(v)
-                adj.setdefault(eout, []).append(v)
-                adj.setdefault(v, []).append(eout)
-        flow = 0
-        while flow < best:
-            # BFS augmenting path from 0 to t
-            prev = {0: None}
-            q = deque([0])
-            while q and t not in prev:
-                a = q.popleft()
-                for b in adj.get(a, ()):
-                    if b not in prev and cap.get((a, b), 0) > 0:
-                        prev[b] = a
-                        q.append(b)
-            if t not in prev:
-                break
-            b = t
-            while prev[b] is not None:
-                a = prev[b]
-                cap[(a, b)] -= 1
-                cap[(b, a)] += 1
-                b = a
-            flow += 1
-        best = min(best, flow)
-        if best < need:
-            return best
-    return best
-
-
-def is_three_edge_connected(h: Hypergraph) -> bool:
-    return _hyper_edge_connectivity(h) >= 3
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -281,6 +219,10 @@ def hypergraph_spanning_set(h: Hypergraph, d: int) -> list:
     found, the set is either completed with component-merging edges or
     the components are contracted and the recursion continues with a
     smaller edge-size bound.
+
+    h must be 3-edge-connected, which is not checked: the pipeline's
+    hypergraph is, because g is 3-connected and removing two hyperedges
+    removes two vertices of g.  The result is checked to span h.
     """
     if d < 2:
         raise PreconditionError(f"edge size bound must be >= 2, got {d}")
@@ -288,8 +230,6 @@ def hypergraph_spanning_set(h: Hypergraph, d: int) -> list:
         raise PreconditionError(
             f"hyperedge of size {h.max_edge_size()} exceeds the bound {d}"
         )
-    if not is_three_edge_connected(h):
-        raise PreconditionError("hypergraph is not 3-edge-connected")
     n, E = h.n, h.edges
     result = _spanning_set_rec(h, d)
     uf = _UnionFind(n)

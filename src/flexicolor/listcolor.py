@@ -111,6 +111,15 @@ class Request:
             return {v for (v, c), w in self.table.items() if w > 0}
         return set(self.prefs)
 
+    def weight_map(self) -> dict:
+        """(vertex, color) -> weight of every requested pair with a
+        positive weight: 1 per preference for unweighted requests."""
+        if self.kind == "unweighted":
+            return {(v, c): 1 for v, c in self.prefs.items()}
+        if self.kind == "unique":
+            return {(v, c): self.weights[v] for v, c in self.prefs.items()}
+        return {vc: w for vc, w in self.table.items() if w > 0}
+
     def total(self) -> Union[int, Fraction]:
         if self.kind == "unweighted":
             return len(self.prefs)

@@ -189,13 +189,7 @@ def optimal_satisfaction(
     InstanceFile(g, L, request).validate().
     """
     order, scopes, cells = elimination_order(g, L, budget)
-    if request.kind == "unweighted":
-        weights = {(v, c): 1 for v, c in request.prefs.items()}
-    elif request.kind == "unique":
-        weights = {(v, c): request.weights[v] for v, c in request.prefs.items()}
-    else:
-        weights = {vc: w for vc, w in request.table.items() if w > 0}
-    scale, gain = scaled_to_integers(weights)
+    scale, gain = scaled_to_integers(request.weight_map())
     count, best, coloring = _eliminate(g, L, gain, order, scopes)
     optimum = best if request.kind == "unweighted" else Fraction(best, scale)
     return OracleResult(optimum, coloring, count, cells)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -21,7 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import Graph, KTreeOrder, validate_ktree_order
-from .listcolor import Request, satisfied_count
+from .listcolor import Request, satisfied_count, scaled_to_integers
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,9 @@ def two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
 # ---------------------------------------------------------------------------
 # k-trees with class-split lists
 
-# the most dict entries (members times vertices) lambda_family builds
-# before it gives up: about 100 MB with the copies the recursion makes
+# the most blocks times vertices lambda_family walks before it gives up:
+# a walk visits family_size(lam) / prod(lam_i!) blocks, each built and
+# scored in about n steps per level
 FAMILY_CAP = 2 * 10**6
 
 
@@ -274,10 +276,6 @@ def _induced_with_order(
     return sub, ids, sub_order
 
 
-def _lift(phi: dict, ids: list) -> dict:
-    return {ids[i]: c for i, c in phi.items()}
-
-
 def _base_family(g: Graph, order: KTreeOrder, lam1: int, L: dict) -> ColoringFamily:
     if lam1 == 1:
         # independent set with singleton lists: one forced coloring
@@ -302,14 +300,28 @@ def _base_family(g: Graph, order: KTreeOrder, lam1: int, L: dict) -> ColoringFam
 
 
 def lambda_family(
-    g: Graph, order: KTreeOrder, lam: tuple, classes: tuple, L: dict
-) -> ColoringFamily:
-    """Family of list colorings on a k-tree whose lists split across
-    disjoint color classes, with each class contributing a fixed number
-    of list entries per vertex.  Every (vertex, color) pair appears in
-    exactly 1/(k+1) of the members.
+    g: Graph,
+    order: KTreeOrder,
+    lam: tuple,
+    classes: tuple,
+    L: dict,
+    request: Request,
+) -> dict:
+    """The first best member, for the request, of the family of list
+    colorings on a k-tree whose lists split across disjoint color
+    classes, class i giving lam[i] colors of every list.  Every
+    (vertex, color) pair appears in exactly 1/(k+1) of the members, so
+    by averaging the member satisfies 1/(k+1) of the request's total.
 
-    g, L and order must pass InstanceFile(g, L, ktree=order).validate().
+    The family is never built.  A level has one block of members per
+    seed subset A, the products of the families on S_A and on V - S_A,
+    and the satisfied amount adds up over the two.  So a block's first
+    best member pairs the first best of its two families, and the
+    family's is the first best block's.  Above FAMILY_CAP blocks walked
+    times vertices, BudgetExceededError is raised before any is built.
+
+    g, L, order and request must pass
+    InstanceFile(g, L, request, ktree=order).validate().
     """
     lam = tuple(lam)
     k = sum(lam) - 1
@@ -340,67 +352,70 @@ def lambda_family(
                 f"vertex {v} has list size {len(L[v])}, expected {k + 1}"
             )
     size = family_size(lam)
-    if size * g.n > FAMILY_CAP:
+    blocks = size // prod(factorial(p) for p in lam)
+    if blocks * g.n > FAMILY_CAP:
         raise BudgetExceededError(
-            f"family would have {size} members of {g.n} entries each, "
-            f"above the cap of {FAMILY_CAP} entries"
+            f"family walk would visit {blocks} blocks of {g.n} vertices "
+            f"each, above the cap of {FAMILY_CAP}"
         )
-    fam = _lambda_family_rec(g, order, lam, classes, L)
-    if len(fam.members) != size:
+    scale, gain = scaled_to_integers(request.weight_map())
+    value, winner, members = _walk(g, order, lam, classes, L, range(g.n), gain)
+    if members != size:
         raise InternalInvariantError(
-            f"family has {len(fam.members)} members, recurrence says {size}"
+            f"family has {members} members, recurrence says {size}"
         )
-    return fam
+    total = request.total()
+    if value * (k + 1) < total * scale:
+        raise InternalInvariantError(
+            f"best member satisfies {Fraction(value, scale)}, below "
+            f"total/{k + 1} of {total}"
+        )
+    return winner
 
 
-def _lambda_family_rec(
-    g: Graph, order: KTreeOrder, lam: tuple, classes: tuple, L: dict
-) -> ColoringFamily:
-    k = sum(lam) - 1
+def _walk(
+    g: Graph, order: KTreeOrder, lam: tuple, classes: tuple, L: dict, ids, gain: dict
+) -> tuple:
+    """(value, winner, members) of the family on g: the largest total
+    gain of a member, the first member reaching it keyed by original
+    vertex (ids[v] for vertex v of g), and the number of members."""
     if len(lam) == 1:
-        return _base_family(g, order, lam[0], L)
+        family = _base_family(g, order, lam[0], L).members
+        values = [
+            sum(gain.get((ids[v], c), 0) for v, c in phi.items())
+            for phi in family
+        ]
+        best = max(values)
+        phi = family[values.index(best)]
+        return best, {ids[v]: c for v, c in phi.items()}, len(family)
+    k = sum(lam) - 1
     lam_t = lam[-1]
     Ct = set(classes[-1])
-    head = list(order.sequence[:k])
-    subset_sizes = (k - lam_t + 1, k - lam_t)
-    members = []
-    per_A_size = None
-    for size_a in subset_sizes:
-        for A in combinations(sorted(head), size_a):
+    head = sorted(order.sequence[:k])
+    best = None
+    members = 0
+    for size_a in (k - lam_t + 1, k - lam_t):
+        for A in combinations(head, size_a):
             S = build_SA(g, order, A, lam_t)
             comp = set(range(g.n)) - S
-
+            # an empty side has one empty member, or lam_t! of them
+            inner, outer = (0, {}, 1), (0, {}, factorial(lam_t))
             if S:
                 g1, ids1, order1 = _induced_with_order(g, order, S, k - lam_t)
-                L1 = {
-                    i: set(L[ids1[i]]) - Ct
-                    for i in range(g1.n)
-                }
-                inner = _lambda_family_rec(
-                    g1, order1, lam[:-1], classes[:-1], L1
+                L1 = {i: set(L[ids1[i]]) - Ct for i in range(g1.n)}
+                inner = _walk(
+                    g1, order1, lam[:-1], classes[:-1], L1,
+                    [ids[i] for i in ids1], gain,
                 )
-                inner_members = [_lift(phi, ids1) for phi in inner.members]
-            else:
-                inner_members = [{}]
-
             if comp:
                 g2, ids2, order2 = _induced_with_order(g, order, comp, lam_t - 1)
                 L2 = {i: set(L[ids2[i]]) & Ct for i in range(g2.n)}
-                outer = _base_family(g2, order2, lam_t, L2)
-                outer_members = [_lift(phi, ids2) for phi in outer.members]
-            else:
-                outer_members = [{}] * factorial(lam_t)
-
-            block = [
-                {**phi1, **phi2}
-                for phi1 in inner_members
-                for phi2 in outer_members
-            ]
-            if per_A_size is None:
-                per_A_size = len(block)
-            elif len(block) != per_A_size:
-                raise InternalInvariantError(
-                    "subset families have unequal sizes"
+                outer = _walk(
+                    g2, order2, lam[-1:], classes[-1:], L2,
+                    [ids[i] for i in ids2], gain,
                 )
-            members.extend(block)
-    return ColoringFamily(tuple(members), k + 1)
+            value = inner[0] + outer[0]
+            if best is None or value > best[0]:
+                best = (value, inner[1], outer[1])
+            members += inner[2] * outer[2]
+    return best[0], {**best[1], **best[2]}, members

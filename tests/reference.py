@@ -32,9 +32,20 @@ the two searches, one dict per member.  `is_admissible` and
 `check_admissible_everywhere` check the four conditions that tie the
 six colorings to each edge.
 
+`reference_lambda_family` builds the whole family of a k-tree with
+class-split lists, one dict per member, lifting and merging one dict per
+(inner, outer) pair of every block; `treewidth.lambda_family` walks the
+same recursion for its first best member only, and must return the
+member `best_of_family` picks from this one.
+
 `check_family` checks the contract of a coloring family: every member
 is a proper on-list coloring, and each (vertex, list color) pair
 appears in exactly |members|/period members.
+
+`is_three_edge_connected` decides 3-edge-connectivity of a hypergraph
+by unit-capacity max-flow from vertex 0 to every other vertex;
+`degeneracy.hypergraph_spanning_set` trusts its input to be so, and the
+tests check every hypergraph it and its recursion receive.
 
 `bruteforce_bad_component` decides whether a component is bad from an
 independent block finder that tries every vertex subset;
@@ -51,7 +62,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from collections import deque
 from itertools import combinations, permutations
+from math import factorial
 from typing import Iterable, Optional
 
 from flexicolor.errors import (
@@ -62,7 +75,7 @@ from flexicolor.errors import (
 )
 from flexicolor.graph import Graph, KTreeOrder, TreedepthForest
 from flexicolor.cli import RESULT_HEADER
-from flexicolor.degeneracy import _UnionFind
+from flexicolor.degeneracy import Hypergraph, _UnionFind
 from flexicolor.instances import FORMAT_HEADER, InstanceFile, format_fraction
 from flexicolor.listcolor import Request, check_coloring
 from flexicolor.maxdeg import classify_components
@@ -72,7 +85,13 @@ from flexicolor.treedepth import (
     _delete_and_trim,
     _Recursion,
 )
-from flexicolor.treewidth import ColoringFamily
+from flexicolor.treewidth import (
+    ColoringFamily,
+    _base_family,
+    _induced_with_order,
+    build_SA,
+    family_size,
+)
 
 
 def parse_int(tok: str, lineno: Optional[int], what: str) -> int:
@@ -544,6 +563,80 @@ def reference_two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringF
     return ColoringFamily(tuple(phis), 3)
 
 
+def _lift(phi: dict, ids: list) -> dict:
+    return {ids[i]: c for i, c in phi.items()}
+
+
+def reference_lambda_family(
+    g: Graph, order: KTreeOrder, lam: tuple, classes: tuple, L: dict
+) -> ColoringFamily:
+    """Every member of the family of list colorings on a k-tree with
+    class-split lists, in the order the recursion lists them.  g, L and
+    order must pass InstanceFile(g, L, ktree=order).validate() and the
+    class checks of `treewidth.lambda_family`."""
+    lam = tuple(lam)
+    size = family_size(lam)
+    fam = _reference_lambda_rec(g, order, lam, classes, L)
+    if len(fam.members) != size:
+        raise InternalInvariantError(
+            f"family has {len(fam.members)} members, recurrence says {size}"
+        )
+    return fam
+
+
+def _reference_lambda_rec(
+    g: Graph, order: KTreeOrder, lam: tuple, classes: tuple, L: dict
+) -> ColoringFamily:
+    k = sum(lam) - 1
+    if len(lam) == 1:
+        return _base_family(g, order, lam[0], L)
+    lam_t = lam[-1]
+    Ct = set(classes[-1])
+    head = list(order.sequence[:k])
+    subset_sizes = (k - lam_t + 1, k - lam_t)
+    members = []
+    per_A_size = None
+    for size_a in subset_sizes:
+        for A in combinations(sorted(head), size_a):
+            S = build_SA(g, order, A, lam_t)
+            comp = set(range(g.n)) - S
+
+            if S:
+                g1, ids1, order1 = _induced_with_order(g, order, S, k - lam_t)
+                L1 = {
+                    i: set(L[ids1[i]]) - Ct
+                    for i in range(g1.n)
+                }
+                inner = _reference_lambda_rec(
+                    g1, order1, lam[:-1], classes[:-1], L1
+                )
+                inner_members = [_lift(phi, ids1) for phi in inner.members]
+            else:
+                inner_members = [{}]
+
+            if comp:
+                g2, ids2, order2 = _induced_with_order(g, order, comp, lam_t - 1)
+                L2 = {i: set(L[ids2[i]]) & Ct for i in range(g2.n)}
+                outer = _base_family(g2, order2, lam_t, L2)
+                outer_members = [_lift(phi, ids2) for phi in outer.members]
+            else:
+                outer_members = [{}] * factorial(lam_t)
+
+            block = [
+                {**phi1, **phi2}
+                for phi1 in inner_members
+                for phi2 in outer_members
+            ]
+            if per_A_size is None:
+                per_A_size = len(block)
+            elif len(block) != per_A_size:
+                raise InternalInvariantError(
+                    "subset families have unequal sizes"
+                )
+            members.extend(block)
+    return ColoringFamily(tuple(members), k + 1)
+
+
 def is_admissible(phis: list, u: int, v: int, Lu, Lv) -> bool:
     """The four conditions tying six colorings to an edge uv."""
     pairs = set()
@@ -603,6 +696,68 @@ def check_family(g: Graph, L: dict, family: ColoringFamily) -> dict:
                     f"vertex {v}, expected {m}"
                 )
     return counts
+
+
+def _hyper_edge_connectivity(h: Hypergraph) -> int:
+    """Edge connectivity, computed only far enough to compare with 3.
+
+    Max-flow with unit capacity per hyperedge between vertex 0 and every
+    other vertex; augmenting paths stop once 3 are found.
+    """
+    need = 3
+    if h.n <= 1:
+        return need
+    # node ids: vertices 0..n-1, edge e -> in node n+2i, out node n+2i+1
+    INF = len(h.edges) + need + 1
+    best = need
+    for t in range(1, h.n):
+        cap: dict = {}
+
+        def add(a, b, c):
+            cap[(a, b)] = cap.get((a, b), 0) + c
+            cap.setdefault((b, a), 0)
+
+        adj: dict = {}
+        for i, e in enumerate(h.edges):
+            ein, eout = h.n + 2 * i, h.n + 2 * i + 1
+            add(ein, eout, 1)
+            adj.setdefault(ein, []).append(eout)
+            adj.setdefault(eout, []).append(ein)
+            for v in e:
+                add(v, ein, INF)
+                add(eout, v, INF)
+                adj.setdefault(v, []).append(ein)
+                adj.setdefault(ein, []).append(v)
+                adj.setdefault(eout, []).append(v)
+                adj.setdefault(v, []).append(eout)
+        flow = 0
+        while flow < best:
+            # BFS augmenting path from 0 to t
+            prev = {0: None}
+            q = deque([0])
+            while q and t not in prev:
+                a = q.popleft()
+                for b in adj.get(a, ()):
+                    if b not in prev and cap.get((a, b), 0) > 0:
+                        prev[b] = a
+                        q.append(b)
+            if t not in prev:
+                break
+            b = t
+            while prev[b] is not None:
+                a = prev[b]
+                cap[(a, b)] -= 1
+                cap[(b, a)] += 1
+                b = a
+            flow += 1
+        best = min(best, flow)
+        if best < need:
+            return best
+    return best
+
+
+def is_three_edge_connected(h: Hypergraph) -> bool:
+    return _hyper_edge_connectivity(h) >= 3
 
 
 def _bruteforce_blocks(g: Graph) -> list:

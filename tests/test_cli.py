@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import os
 import shutil
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from flexicolor import cli, graph, listcolor, treedepth, treewidth
 from flexicolor.cli import _parse_result, main
-from flexicolor.errors import FormatError
+from flexicolor.errors import BudgetExceededError, FormatError
 from flexicolor.graph import TreedepthForest
 from flexicolor.instances import (
     InstanceFile,
@@ -102,6 +103,21 @@ class TestSolveAndVerify:
         assert time.process_time() - start < 5.0
         assert code == 0 and out.endswith("bound-met=yes\n")
         assert len(roots) == 1000
+
+    @pytest.mark.parametrize("lam,n", [("3,3,3", 200), ("2,3,3", 100)])
+    def test_lambda_family_walk_at_scale(self, capsys, tmp_path, lam, n):
+        # 362,880 and 40,320 members of n entries each; the walk visits
+        # 1,680 and 560 blocks and builds no member but the winners
+        k = sum(map(int, lam.split(","))) - 1
+        path = self.write(
+            tmp_path, random_ktree(1, n, k, list_size=k + 1, palette=k + 1)
+        )
+        res = str(tmp_path / "r.txt")
+        argv = ["solve", path, "--method", "lambda", "--lam", lam, "--out", res]
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        code, out, _ = run(["verify", path, res], capsys)
+        assert code == 0 and out.endswith("bound-met=yes\n")
 
     def test_degeneracy_method(self, capsys, tmp_path):
         path = self.write(tmp_path, random_three_connected(5, 14))
@@ -257,21 +273,64 @@ class TestMalformedInput:
         err = self.error_line(capsys, argv)
         assert err.startswith("error format") and "UTF-8" in err
 
-    @pytest.mark.parametrize("lam,n", [("3,3,3", 200), ("2,3,3", 100)])
-    def test_family_over_the_entry_cap_exits_3(self, capsys, tmp_path, lam, n):
-        # 362,880 and 40,320 members of n entries each, 72.6 M and 4.03 M
-        # dict entries in all: the cap counts entries, so both stop
-        # before the first member is built
-        k = sum(map(int, lam.split(","))) - 1
-        inst = random_ktree(1, n, k, list_size=k + 1, palette=k + 1)
+    def test_family_walk_over_the_cap_exits_3(self, capsys, tmp_path):
+        # ten parts of 1 on a 9-tree: 10! blocks of n vertices each, so
+        # the walk stops before the first base family is built
+        inst = random_ktree(1, 12, 9, list_size=10, palette=10)
         path = tmp_path / "inst.fi"
         path.write_text(serialize(inst))
-        argv = ["solve", str(path), "--method", "lambda", "--lam", lam]
-        with mock.patch.object(treewidth, "_lambda_family_rec") as build:
+        argv = ["solve", str(path), "--method", "lambda", "--lam", ",".join("1" * 10)]
+        with mock.patch.object(treewidth, "_base_family") as build:
             code, _, err = run(argv, capsys)
         assert code == 3 and len(err.splitlines()) == 1, err
-        assert err.startswith("error budget family would have") and "cap" in err
+        assert err.startswith("error budget family walk would visit 3628800 blocks")
         assert build.call_count == 0
+
+    @staticmethod
+    def class_search_trap(palette):
+        """Lists for lam = (1, 2) with no color-class partition: disjoint
+        triples of the low colors, then every triple of a 4-color core
+        at the top of the palette, which no partition fits, so the
+        search tries every split of the triples first."""
+        core = range(palette - 4, palette)
+        lists = [range(c, c + 3) for c in range(0, palette - 4, 3)]
+        return lists + [set(t) for t in itertools.combinations(core, 3)]
+
+    def test_class_search_over_its_budget_exits_3(self, capsys, tmp_path):
+        lists = self.class_search_trap(31)
+        inst = random_ktree(1, len(lists), 2)
+        inst.L = {v: set(lst) for v, lst in enumerate(lists)}
+        inst.request = Request("unweighted", prefs={0: 0})
+        path = tmp_path / "inst.fi"
+        path.write_text(serialize(inst))
+        argv = ["solve", str(path), "--method", "lambda", "--lam", "1,2"]
+        code, _, err = run(argv, capsys)
+        assert code == 3 and len(err.splitlines()) == 1, err
+        assert err.startswith("error budget color-class search passed")
+
+    def test_class_search_counts_its_list_scans(self):
+        # every scan of a list iterates it once; the search stops at the
+        # scan that would pass the budget, and lists that have a
+        # partition are found in a few hundred scans
+        scans = []
+
+        class Counted(frozenset):
+            def __iter__(self):
+                scans.append(1)
+                return super().__iter__()
+
+        def search(lists, lam):
+            scans.clear()
+            return cli._infer_classes(
+                {v: Counted(lst) for v, lst in enumerate(lists)}, lam
+            )
+
+        with pytest.raises(BudgetExceededError, match="list scans"):
+            search(self.class_search_trap(31), (1, 2))
+        assert len(scans) == cli.CLASS_SEARCH_SCANS
+        lists = self.class_search_trap(31)[:-4] + [{27, 28, 29}]
+        assert search(lists, (1, 2))[0] == tuple(range(0, 30, 3))
+        assert len(scans) < 500
 
     @pytest.mark.parametrize("lam", ["x,1", "0,1", "1,,2", "-1,2"])
     def test_bad_lam(self, capsys, tmp_path, lam):

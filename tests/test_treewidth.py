@@ -25,6 +25,7 @@ from reference import (
     check_family,
     is_admissible,
     reference_extend_values,
+    reference_lambda_family,
     reference_seed_edge,
     reference_two_tree_family,
 )
@@ -292,7 +293,7 @@ class TestLambdaFamily:
     @pytest.mark.parametrize("lam", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 2), (3, 1)])
     def test_counting_identity(self, lam):
         g, order, classes, L = make_lambda_instance(sum(lam), 8, lam)
-        fam = lambda_family(g, order, lam, classes, L)
+        fam = reference_lambda_family(g, order, lam, classes, L)
         counts = check_family(g, L, fam)
         assert len(fam.members) == family_size(lam)
         k = sum(lam) - 1
@@ -304,27 +305,61 @@ class TestLambdaFamily:
         g, order, classes, L = make_lambda_instance(1, 6, (1, 2))
         bad = (classes[0], classes[0] + classes[1])
         with pytest.raises(PreconditionError, match="overlap"):
-            lambda_family(g, order, (1, 2), bad, L)
+            lambda_family(g, order, (1, 2), bad, L, Request("unweighted"))
 
     def test_rejects_large_parts(self):
         inst = random_ktree(2, 7, 3, list_size=4, palette=4)
         L = {v: {1, 2, 3, 4} for v in range(inst.g.n)}
         with pytest.raises(PreconditionError, match="open problem"):
-            lambda_family(inst.g, inst.ktree, (4,), ((1, 2, 3, 4),), L)
+            lambda_family(
+                inst.g, inst.ktree, (4,), ((1, 2, 3, 4),), L, Request("unweighted")
+            )
 
     def test_rejects_wrong_class_count(self):
         g, order, classes, L = make_lambda_instance(3, 6, (1, 2))
         with pytest.raises(PreconditionError):
-            lambda_family(g, order, (1, 2), (classes[0],), L)
+            lambda_family(g, order, (1, 2), (classes[0],), L, Request("unweighted"))
 
     def test_best_of_family_fraction(self):
         g, order, classes, L = make_lambda_instance(4, 9, (1, 2))
-        fam = lambda_family(g, order, (1, 2), classes, L)
         rng = random.Random(0)
         for _ in range(10):
             vs = rng.sample(range(g.n), rng.randint(1, g.n))
             req = Request(
                 "unweighted", prefs={v: rng.choice(sorted(L[v])) for v in vs}
             )
-            best = best_of_family(g, L, fam, req)
-            assert satisfied_amount(g, L, best, req) * fam.period >= len(vs)
+            best = lambda_family(g, order, (1, 2), classes, L, req)
+            assert satisfied_amount(g, L, best, req) * 3 >= len(vs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+            lambda parts: 2 <= sum(parts) <= 7
+        ),
+        extra=st.integers(0, 3),
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["unweighted", "unique", "weighted"]),
+    )
+    def test_walk_picks_the_first_best_member(self, lam, extra, seed, kind):
+        # the walk's winner is the member best_of_family picks from the
+        # whole family, on requests that include colors outside the
+        # sub-lists a level splits the lists into, and zero weights
+        lam = tuple(lam)
+        g, order, classes, L = make_lambda_instance(seed, sum(lam) + extra, lam)
+        rng = random.Random(seed)
+        vs = rng.sample(range(g.n), rng.randint(0, g.n))
+        pick = {v: rng.choice(sorted(L[v])) for v in vs}
+        if kind == "unweighted":
+            req = Request(kind, prefs=pick)
+        elif kind == "unique":
+            weights = {v: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for v in vs}
+            req = Request(kind, prefs=pick, weights=weights)
+        else:
+            req = Request(kind, table={
+                (v, c): Fraction(rng.randint(0, 4), rng.randint(1, 3))
+                for v in vs for c in L[v] if rng.random() < 0.6
+            })
+        fam = reference_lambda_family(g, order, lam, classes, L)
+        assert lambda_family(g, order, lam, classes, L, req) == best_of_family(
+            g, L, fam, req
+        )
