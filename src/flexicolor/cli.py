@@ -90,18 +90,19 @@ def _emit(lines: list, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-# the most list scans the color-class search makes before it gives up:
-# the search backtracks over the palette, exponentially in the worst
-# case, and a pass over every list is about a microsecond per list
-CLASS_SEARCH_SCANS = 2 * 10**5
+# the most search nodes (passes over every list) the color-class search
+# makes before it gives up: the search backtracks over the palette,
+# exponentially in the worst case, while lists that have a partition
+# need a few nodes per palette color, whatever their number
+CLASS_SEARCH_NODES = 2000
 
 
 def _infer_classes(L: dict, lam: tuple) -> tuple:
     """Partition of the palette putting exactly lam[i] colors of every
     list into class i, found by backtracking over colors.
 
-    BudgetExceededError is raised at the scan of a list that would pass
-    CLASS_SEARCH_SCANS.
+    BudgetExceededError is raised at the node that would pass
+    CLASS_SEARCH_NODES.
     """
     no_partition = f"lists admit no color-class partition with parts {lam}"
     # every list takes lam[i] colors from each class i, so sum(lam) in all
@@ -111,18 +112,18 @@ def _infer_classes(L: dict, lam: tuple) -> tuple:
     palette = sorted(set().union(*L.values()))
     t = len(lam)
     assign: dict = {}
-    scans = 0
+    nodes = 0
 
     def counts_ok(final: bool) -> bool:
         # per-class counts never exceed the part sizes; at the end they
         # must match exactly
-        nonlocal scans
+        nonlocal nodes
+        nodes += 1
+        if nodes > CLASS_SEARCH_NODES:
+            raise BudgetExceededError(
+                f"color-class search passed {CLASS_SEARCH_NODES} nodes"
+            )
         for lst in L.values():
-            scans += 1
-            if scans > CLASS_SEARCH_SCANS:
-                raise BudgetExceededError(
-                    f"color-class search passed {CLASS_SEARCH_SCANS} list scans"
-                )
             done = [0] * t
             for c in lst:
                 if c in assign:

@@ -51,13 +51,17 @@ def best_of_family(
         val = satisfied_count(phi, request)
         if best_val is None or val > best_val:
             best, best_val = phi, val
-    total = request.total()
-    if best_val * family.period < total:
-        raise InternalInvariantError(
-            f"best member satisfies {best_val}, below total/{family.period} "
-            f"of {total}"
-        )
+    _check_averaging(best_val, family.period, request.total())
     return best
+
+
+def _check_averaging(value, period: int, total) -> None:
+    """By averaging, the best member of a family in which every pair
+    appears in 1/period of the members satisfies total/period."""
+    if value * period < total:
+        raise InternalInvariantError(
+            f"best member satisfies {value}, below total/{period} of {total}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +368,7 @@ def lambda_family(
         raise InternalInvariantError(
             f"family has {members} members, recurrence says {size}"
         )
-    total = request.total()
-    if value * (k + 1) < total * scale:
-        raise InternalInvariantError(
-            f"best member satisfies {Fraction(value, scale)}, below "
-            f"total/{k + 1} of {total}"
-        )
+    _check_averaging(Fraction(value, scale), k + 1, request.total())
     return winner
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -308,29 +309,55 @@ class TestMalformedInput:
         assert code == 3 and len(err.splitlines()) == 1, err
         assert err.startswith("error budget color-class search passed")
 
-    def test_class_search_counts_its_list_scans(self):
-        # every scan of a list iterates it once; the search stops at the
-        # scan that would pass the budget, and lists that have a
-        # partition are found in a few hundred scans
-        scans = []
+    @staticmethod
+    def class_search_nodes(lists, lam):
+        """(classes or the error raised, number of search nodes): a node
+        is one call of the search's pass over every list."""
+        nodes = []
 
-        class Counted(frozenset):
-            def __iter__(self):
-                scans.append(1)
-                return super().__iter__()
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (
+                event == "call"
+                and code.co_filename == cli.__file__
+                and code.co_qualname == "_infer_classes.<locals>.counts_ok"
+            ):
+                nodes.append(1)
 
-        def search(lists, lam):
-            scans.clear()
-            return cli._infer_classes(
-                {v: Counted(lst) for v, lst in enumerate(lists)}, lam
-            )
+        sys.setprofile(profile)
+        try:
+            found = cli._infer_classes(dict(enumerate(lists)), lam)
+        except BudgetExceededError as exc:
+            found = exc
+        finally:
+            sys.setprofile(None)
+        return found, len(nodes)
 
-        with pytest.raises(BudgetExceededError, match="list scans"):
-            search(self.class_search_trap(31), (1, 2))
-        assert len(scans) == cli.CLASS_SEARCH_SCANS
+    def test_class_search_counts_its_nodes(self):
+        # the search stops at the node that would pass the budget, and
+        # lists that have a partition are found in a few nodes per color
+        found, nodes = self.class_search_nodes(self.class_search_trap(31), (1, 2))
+        assert isinstance(found, BudgetExceededError)
+        assert str(found) == (
+            f"color-class search passed {cli.CLASS_SEARCH_NODES} nodes"
+        )
+        assert nodes == cli.CLASS_SEARCH_NODES + 1
         lists = self.class_search_trap(31)[:-4] + [{27, 28, 29}]
-        assert search(lists, (1, 2))[0] == tuple(range(0, 30, 3))
-        assert len(scans) < 500
+        found, nodes = self.class_search_nodes(lists, (1, 2))
+        assert found[0] == tuple(range(0, 30, 3))
+        assert nodes < 100
+
+    def test_class_search_nodes_do_not_grow_with_n(self):
+        # class-split lists as the generated lambda documents hold them:
+        # the node count depends on the palette, not on the number of
+        # lists, so a large document is not refused by the budget
+        rng = random.Random(1)
+        lists = [
+            {rng.choice((0, 1)), *rng.sample((2, 3, 4), 2)} for _ in range(30000)
+        ]
+        found, nodes = self.class_search_nodes(lists, (1, 2))
+        assert found == ((0, 1), (2, 3, 4))
+        assert nodes == self.class_search_nodes(lists[:10], (1, 2))[1] < 20
 
     @pytest.mark.parametrize("lam", ["x,1", "0,1", "1,,2", "-1,2"])
     def test_bad_lam(self, capsys, tmp_path, lam):

@@ -321,6 +321,8 @@ class TestLambdaFamily:
             lambda_family(g, order, (1, 2), (classes[0],), L, Request("unweighted"))
 
     def test_best_of_family_fraction(self):
+        # checks the averaging bound on the walk's winner; best_of_family
+        # on a lambda family is checked in test_walk_picks_the_first_best_member
         g, order, classes, L = make_lambda_instance(4, 9, (1, 2))
         rng = random.Random(0)
         for _ in range(10):
