@@ -210,6 +210,13 @@ def _components_touched(uf: _UnionFind, e: tuple) -> set:
     return {uf.find(v) for v in e}
 
 
+def _merge(uf: _UnionFind, roots) -> int:
+    """Union the components of the distinct roots into the least one;
+    the number of unions made."""
+    roots = sorted(roots)
+    return sum(uf.union(roots[0], r) for r in roots[1:])
+
+
 def hypergraph_spanning_set(h: Hypergraph, d: int) -> list:
     """Indices of a connected spanning edge set of size at most
     (1 - eps(d)) |E|.
@@ -233,12 +240,7 @@ def hypergraph_spanning_set(h: Hypergraph, d: int) -> list:
     n, E = h.n, h.edges
     result = _spanning_set_rec(h, d)
     uf = _UnionFind(n)
-    comps = n
-    for i in result:
-        roots = sorted(_components_touched(uf, E[i]))
-        for r in roots[1:]:
-            if uf.union(roots[0], r):
-                comps -= 1
+    comps = n - sum(_merge(uf, _components_touched(uf, E[i])) for i in result)
     if comps != 1:
         raise InternalInvariantError("selected edges do not span the hypergraph")
     eps = epsilon_value(d)
@@ -274,10 +276,7 @@ def _spanning_set_rec(h: Hypergraph, d: int) -> list:
                 continue
             touched = _components_touched(uf, e)
             if len(touched) >= need:
-                roots = sorted(touched)
-                for r in roots[1:]:
-                    uf.union(roots[0], r)
-                comps -= len(touched) - 1
+                comps -= _merge(uf, touched)
                 A1.append(i)
                 a1_set.add(i)
                 progress = True
@@ -296,10 +295,7 @@ def _spanning_set_rec(h: Hypergraph, d: int) -> list:
                 break
             touched = _components_touched(uf, e)
             if len(touched) > 1:
-                roots = sorted(touched)
-                for r in roots[1:]:
-                    uf.union(roots[0], r)
-                comps -= len(touched) - 1
+                comps -= _merge(uf, touched)
                 out.append(i)
         return out
 

@@ -22,13 +22,14 @@ from .errors import (
     PreconditionError,
 )
 from .graph import Graph, KTreeOrder, validate_ktree_order
-from .listcolor import Request, satisfied_count, scaled_to_integers
+from .listcolor import Request, scaled_to_integers
 
 
 @dataclass(frozen=True)
 class ColoringFamily:
-    """Ordered colorings where each (vertex, list color) pair appears in
-    exactly |members|/period members."""
+    """Ordered colorings, each a tuple indexed by vertex: members[j][v]
+    is vertex v's color in member j.  Each (vertex, list color) pair
+    appears in exactly |members|/period members."""
 
     members: tuple
     period: int
@@ -37,22 +38,31 @@ class ColoringFamily:
 def best_of_family(
     g: Graph, L: dict, family: ColoringFamily, request: Request
 ) -> dict:
-    """Family member with the largest satisfied amount (first on ties).
+    """Family member with the largest satisfied amount (first on ties),
+    as a dict vertex -> color.
 
     Averaging over the family guarantees the winner satisfies at least
-    total/period of the request weight.  g and L are not read: members
-    are scored without being checked, and the caller checks the winner.
+    total/period of the request weight.  The request's weights must be
+    rational.  g and L are not read: members are scored without being
+    checked, and the caller checks the winner.
     """
     if not family.members:
         raise PreconditionError("empty coloring family")
-    best = None
-    best_val = None
-    for phi in family.members:
-        val = satisfied_count(phi, request)
-        if best_val is None or val > best_val:
-            best, best_val = phi, val
-    _check_averaging(best_val, family.period, request.total())
-    return best
+    scale, gain = scaled_to_integers(request.weight_map())
+    value, member = _first_best(family.members, gain)
+    _check_averaging(Fraction(value, scale), family.period, request.total())
+    return dict(enumerate(member))
+
+
+def _first_best(members, gain: dict) -> tuple:
+    """(value, member) of the first member with the largest value, the
+    sum of gain[v, c] over the pairs with member[v] == c.  Only gain's
+    pairs are read: O(|gain|) per member, whatever the vertex count."""
+    scored = (
+        (sum(w for (v, c), w in gain.items() if phi[v] == c), phi)
+        for phi in members
+    )
+    return max(scored, key=itemgetter(0))
 
 
 def _check_averaging(value, period: int, total) -> None:
@@ -80,18 +90,15 @@ def tree_pair_family(g: Graph, L: dict) -> ColoringFamily:
             raise PreconditionError(
                 f"vertex {v} has list size {len(L[v])}, expected 2"
             )
-    phi1: dict = {}
-    phi2: dict = {}
+    phi1, phi2 = [None] * g.n, [None] * g.n
     root = 0
     phi1[root], phi2[root] = sorted(L[root])
     stack = [root]
-    seen = {root}
     while stack:
         p = stack.pop()
         for v in g.neighbors(p):
-            if v in seen:
+            if phi1[v] is not None:
                 continue
-            seen.add(v)
             a, b = sorted(L[v])
             # at most one of the two assignments clashes with the parent
             if a != phi1[p] and b != phi2[p]:
@@ -103,7 +110,7 @@ def tree_pair_family(g: Graph, L: dict) -> ColoringFamily:
                     f"no list-covering assignment at tree vertex {v}"
                 )
             stack.append(v)
-    return ColoringFamily((phi1, phi2), 2)
+    return ColoringFamily((tuple(phi1), tuple(phi2)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +218,7 @@ def two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringFamily:
                 f"no admissible extension at vertex {w}; the colorings of "
                 "its back-neighbors were not admissible"
             )
-    members = zip(*(states[v][0] for v in seq))
-    return ColoringFamily(tuple(dict(zip(seq, col)) for col in members), 3)
+    return ColoringFamily(tuple(zip(*(s[0] for s in states))), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +275,7 @@ def _induced_with_order(
     g: Graph, order: KTreeOrder, vertices: set, k: int
 ) -> tuple:
     sub, ids = g.induced(vertices)
-    pos = {v: i for i, v in enumerate(order.sequence)}
+    pos = order.position()
     new_seq = sorted(range(sub.n), key=lambda i: pos[ids[i]])
     sub_order = KTreeOrder(k, tuple(new_seq))
     violation = validate_ktree_order(sub, sub_order)
@@ -285,14 +291,12 @@ def _base_family(g: Graph, order: KTreeOrder, lam1: int, L: dict) -> ColoringFam
         # independent set with singleton lists: one forced coloring
         if g.m != 0:
             raise PreconditionError("width-0 instance must be edgeless")
-        phi = {}
         for v in range(g.n):
             if len(L[v]) != 1:
                 raise PreconditionError(
                     f"vertex {v} has list size {len(L[v])}, expected 1"
                 )
-            phi[v] = next(iter(L[v]))
-        return ColoringFamily((phi,), 1)
+        return ColoringFamily((tuple(next(iter(L[v])) for v in range(g.n)),), 1)
     if lam1 == 2:
         return tree_pair_family(g, L)
     if lam1 == 3:
@@ -380,13 +384,11 @@ def _walk(
     vertex (ids[v] for vertex v of g), and the number of members."""
     if len(lam) == 1:
         family = _base_family(g, order, lam[0], L).members
-        values = [
-            sum(gain.get((ids[v], c), 0) for v, c in phi.items())
-            for phi in family
-        ]
-        best = max(values)
-        phi = family[values.index(best)]
-        return best, {ids[v]: c for v, c in phi.items()}, len(family)
+        local = {u: v for v, u in enumerate(ids)}
+        value, phi = _first_best(family, {
+            (local[u], c): w for (u, c), w in gain.items() if u in local
+        })
+        return value, {ids[v]: c for v, c in enumerate(phi)}, len(family)
     k = sum(lam) - 1
     lam_t = lam[-1]
     Ct = set(classes[-1])

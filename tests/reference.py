@@ -23,24 +23,34 @@ stops being precolored by classifying the whole graph twice;
 
 `reference_seed_edge` finds the first edge of a 2-tree's six colorings
 by enumerating all 90 arrangements of three colors twice each, for u
-and then for v, and keeping the first admissible pair;
-`treewidth.two_tree_family` must color that edge the same way.
+and then for v, and keeping the first admissible pair, one dict per
+member; `treewidth.two_tree_family` must color that edge the same way.
 `reference_extend_values` is the backtracking search per vertex that
 `treewidth._extend` replaced with a table lookup, and
 `reference_two_tree_family` builds the six colorings of a 2-tree from
-the two searches, one dict per member.  `is_admissible` and
+the two searches, growing one dict per member.  `is_admissible` and
 `check_admissible_everywhere` check the four conditions that tie the
-six colorings to each edge.
+six colorings to each edge; they read a member as phi[vertex], so they
+take dicts and vertex-indexed tuples alike.
 
 `reference_lambda_family` builds the whole family of a k-tree with
-class-split lists, one dict per member, lifting and merging one dict per
-(inner, outer) pair of every block; `treewidth.lambda_family` walks the
-same recursion for its first best member only, and must return the
-member `best_of_family` picks from this one.
+class-split lists, lifting and merging one dict per (inner, outer) pair
+of every block; `treewidth.lambda_family` walks the same recursion for
+its first best member only, and must return the member
+`reference_best_of_family` picks from this one.
+
+`reference_best_of_family` is the pick that `treewidth.best_of_family`
+replaced: it turns every member into a dict, scores it with
+`satisfied_count` over the whole request, keeps the first best and
+checks the averaging bound.  `best_of_family` must pick the same member
+and raise on the same families.
 
 `check_family` checks the contract of a coloring family: every member
 is a proper on-list coloring, and each (vertex, list color) pair
 appears in exactly |members|/period members.
+
+The reference families hold their members as the package's do, as
+tuples indexed by vertex.
 
 `is_three_edge_connected` decides 3-edge-connectivity of a hypergraph
 by unit-capacity max-flow from vertex 0 to every other vertex;
@@ -77,7 +87,7 @@ from flexicolor.graph import Graph, KTreeOrder, TreedepthForest
 from flexicolor.cli import RESULT_HEADER
 from flexicolor.degeneracy import Hypergraph, _UnionFind
 from flexicolor.instances import FORMAT_HEADER, InstanceFile, format_fraction
-from flexicolor.listcolor import Request, check_coloring
+from flexicolor.listcolor import Request, check_coloring, satisfied_count
 from flexicolor.maxdeg import classify_components
 from flexicolor.treedepth import (
     TdInstance,
@@ -560,11 +570,16 @@ def reference_two_tree_family(g: Graph, order: KTreeOrder, L: dict) -> ColoringF
             raise InternalInvariantError(f"no admissible extension at vertex {w}")
         for phi, c in zip(phis, values):
             phi[w] = c
-    return ColoringFamily(tuple(phis), 3)
+    return ColoringFamily(tuple(_column(phi, g.n) for phi in phis), 3)
 
 
-def _lift(phi: dict, ids: list) -> dict:
-    return {ids[i]: c for i, c in phi.items()}
+def _column(phi: dict, n: int) -> tuple:
+    """The coloring phi of vertices 0..n-1 as a vertex-indexed tuple."""
+    return tuple(phi[v] for v in range(n))
+
+
+def _lift(phi: tuple, ids: list) -> dict:
+    return {ids[i]: c for i, c in enumerate(phi)}
 
 
 def reference_lambda_family(
@@ -623,7 +638,7 @@ def _reference_lambda_rec(
                 outer_members = [{}] * factorial(lam_t)
 
             block = [
-                {**phi1, **phi2}
+                _column({**phi1, **phi2}, g.n)
                 for phi1 in inner_members
                 for phi2 in outer_members
             ]
@@ -635,6 +650,24 @@ def _reference_lambda_rec(
                 )
             members.extend(block)
     return ColoringFamily(tuple(members), k + 1)
+
+
+def reference_best_of_family(family: ColoringFamily, request: Request) -> dict:
+    """The first member, as a dict, with the largest `satisfied_count`;
+    InternalInvariantError if it satisfies less than total/period."""
+    best = None
+    best_val = None
+    for member in family.members:
+        phi = dict(enumerate(member))
+        val = satisfied_count(phi, request)
+        if best_val is None or val > best_val:
+            best, best_val = phi, val
+    if best_val * family.period < request.total():
+        raise InternalInvariantError(
+            f"best member satisfies {best_val}, below "
+            f"total/{family.period} of {request.total()}"
+        )
+    return best
 
 
 def is_admissible(phis: list, u: int, v: int, Lu, Lv) -> bool:
@@ -675,8 +708,12 @@ def check_family(g: Graph, L: dict, family: ColoringFamily) -> dict:
         )
     counts: dict = {}
     for phi in members:
+        if len(phi) != g.n:
+            raise InternalInvariantError(
+                f"family member colors {len(phi)} vertices, expected {g.n}"
+            )
         for v in range(g.n):
-            if phi.get(v) not in L[v]:
+            if phi[v] not in L[v]:
                 raise InternalInvariantError(
                     f"family member colors vertex {v} off-list"
                 )
@@ -685,7 +722,7 @@ def check_family(g: Graph, L: dict, family: ColoringFamily) -> dict:
                 raise InternalInvariantError(
                     f"family member is improper at edge ({u},{v})"
                 )
-        for v, c in phi.items():
+        for v, c in enumerate(phi):
             counts[(v, c)] = counts.get((v, c), 0) + 1
     m = len(members) // period
     for v in range(g.n):

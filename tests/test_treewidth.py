@@ -6,11 +6,12 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexicolor.errors import PreconditionError
+from flexicolor.errors import InternalInvariantError, PreconditionError
 from flexicolor.graph import Graph, KTreeOrder, validate_ktree_order
 from flexicolor.instances import fig_3tree, random_ktree
 from flexicolor.listcolor import Request, satisfied_amount
 from flexicolor.treewidth import (
+    ColoringFamily,
     _extend,
     _state,
     best_of_family,
@@ -24,6 +25,7 @@ from reference import (
     check_admissible_everywhere,
     check_family,
     is_admissible,
+    reference_best_of_family,
     reference_extend_values,
     reference_lambda_family,
     reference_seed_edge,
@@ -92,7 +94,7 @@ class TestSixColoringFamily:
                 edge = two_tree_family(
                     Graph(2, [(0, 1)]), KTreeOrder(2, (0, 1)), {0: Lu, 1: Lv}
                 )
-                seed = list(edge.members)
+                seed = [dict(enumerate(phi)) for phi in edge.members]
                 assert seed == reference_seed_edge(0, 1, Lu, Lv), (Lu, Lv)
                 assert is_admissible(seed, 0, 1, Lu, Lv)
                 checked += 1
@@ -155,9 +157,7 @@ class TestSixColoringFamily:
         L = {v: set(data.draw(colors)) for v in range(n)}
         fam = two_tree_family(g, order, L)
         ref = reference_two_tree_family(g, order, L)
-        assert [list(phi.items()) for phi in fam.members] == [
-            list(phi.items()) for phi in ref.members
-        ]
+        assert fam.members == ref.members
         assert fam.period == 3
 
     def test_two_tree_family_small(self):
@@ -179,6 +179,62 @@ class TestSixColoringFamily:
             )
             best = best_of_family(inst.g, inst.L, fam := two_tree_family(inst.g, inst.ktree, inst.L), req)
             assert satisfied_amount(inst.g, inst.L, best, req) * 3 >= req.total()
+
+
+class TestBestOfFamily:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2]),
+        n=st.integers(2, 30),
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["unweighted", "unique", "weighted"]),
+        reverse=st.booleans(),
+    )
+    def test_matches_reference_pick(self, k, n, seed, kind, reverse):
+        # tree-pair and 2-tree families, in both member orders, against
+        # the pick over dict members: requests of every kind, with zero
+        # weights and with colors no member uses (which can leave the
+        # best member below the averaging bound, so both must raise)
+        inst = random_ktree(seed, max(n, k + 1), k, list_size=k + 1)
+        g, L = inst.g, inst.L
+        fam = (tree_pair_family(g, L) if k == 1
+               else two_tree_family(g, inst.ktree, L))
+        if reverse:
+            fam = ColoringFamily(fam.members[::-1], fam.period)
+        rng = random.Random(seed)
+        unused = max(max(lst) for lst in L.values()) + 1
+        vs = rng.sample(range(g.n), rng.randint(0, g.n))
+        pick = {
+            v: unused if rng.random() < 0.1 else rng.choice(sorted(L[v]))
+            for v in vs
+        }
+        if kind == "unweighted":
+            req = Request(kind, prefs=pick)
+        elif kind == "unique":
+            weights = {v: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for v in vs}
+            req = Request(kind, prefs=pick, weights=weights)
+        else:
+            req = Request(kind, table={
+                (v, c): Fraction(rng.randint(0, 4), rng.randint(1, 3))
+                for v in vs for c in sorted(L[v]) + [unused]
+                if rng.random() < 0.5
+            })
+        assert _picked(best_of_family, g, L, fam, req) == _picked(
+            reference_best_of_family, fam, req
+        )
+        # every member ties on an empty request: the first one wins
+        assert best_of_family(g, L, fam, Request("unweighted")) == dict(
+            enumerate(fam.members[0])
+        )
+
+
+def _picked(pick, *args):
+    """The member pick returns, or the error it raises below the
+    averaging bound."""
+    try:
+        return pick(*args)
+    except InternalInvariantError:
+        return InternalInvariantError
 
 
 def _extend_values(us: tuple, vs: tuple, Lw):
@@ -321,8 +377,8 @@ class TestLambdaFamily:
             lambda_family(g, order, (1, 2), (classes[0],), L, Request("unweighted"))
 
     def test_best_of_family_fraction(self):
-        # checks the averaging bound on the walk's winner; best_of_family
-        # on a lambda family is checked in test_walk_picks_the_first_best_member
+        # checks the averaging bound on the walk's winner; the pick from
+        # a whole lambda family is checked in test_walk_picks_the_first_best_member
         g, order, classes, L = make_lambda_instance(4, 9, (1, 2))
         rng = random.Random(0)
         for _ in range(10):
@@ -343,7 +399,7 @@ class TestLambdaFamily:
         kind=st.sampled_from(["unweighted", "unique", "weighted"]),
     )
     def test_walk_picks_the_first_best_member(self, lam, extra, seed, kind):
-        # the walk's winner is the member best_of_family picks from the
+        # the walk's winner is the member the reference picks from the
         # whole family, on requests that include colors outside the
         # sub-lists a level splits the lists into, and zero weights
         lam = tuple(lam)
@@ -362,6 +418,6 @@ class TestLambdaFamily:
                 for v in vs for c in L[v] if rng.random() < 0.6
             })
         fam = reference_lambda_family(g, order, lam, classes, L)
-        assert lambda_family(g, order, lam, classes, L, req) == best_of_family(
-            g, L, fam, req
+        assert lambda_family(g, order, lam, classes, L, req) == (
+            reference_best_of_family(fam, req)
         )
