@@ -46,7 +46,6 @@ from .degeneracy import (
     Hypergraph,
     epsilon_value,
     flexible_degeneracy_order,
-    ordering_from_tree,
 )
 from .instances import InstanceFile, parse, serialize
 

@@ -313,6 +313,8 @@ def _parse_result(text: str) -> dict:
             raise FormatError(
                 f"{key} takes {arity} argument(s), got {len(args)}", line=i
             )
+        if key.replace("-", "_") in doc:
+            raise FormatError(f"second {key} line", line=i)
         if key == "method":
             doc["method"] = args[0]
         elif key in ("satisfied", "certified", "total"):
@@ -421,6 +423,11 @@ def _verify(args) -> int:
         raise PreconditionError(
             f"stated certified fraction {doc['certified']} differs from the "
             f"recomputed {certified}"
+        )
+    if doc["method"] == "degeneracy" and doc["degeneracy"] != g.max_degree() - 1:
+        raise PreconditionError(
+            f"stated degeneracy {doc['degeneracy']} differs from the "
+            f"recomputed {g.max_degree() - 1}"
         )
     met = satisfied >= certified * total
     if doc.get("bound_met", met) != met:

@@ -1,13 +1,14 @@
 """Flexible degeneracy orderings.
 
-A spanning-tree walk turns leaves into vertices that precede all their
-neighbors in a (maxdeg-1)-degeneracy order.  For 3-connected non-regular
-graphs, a hypergraph spanning-set recursion keeps a constant fraction of
-any requested set as such leaves.
+A reversed walk of a spanning tree turns its leaves into vertices that
+precede all their neighbors in a (maxdeg-1)-degeneracy order.  The tree
+is a BFS tree of g minus the leaves with the leaves hung on it, and it
+is walked as the BFS discovers it, never built.  For 3-connected
+non-regular graphs, a hypergraph spanning-set recursion keeps a constant
+fraction of any requested set as such leaves.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -59,86 +60,46 @@ def first_among_neighbors(g: Graph, order: tuple) -> frozenset:
     )
 
 
-def _spanning_tree_edges(g: Graph, root: int) -> list:
-    """BFS spanning tree as parent edges."""
-    parent = {root: None}
-    q = deque([root])
-    edges = []
-    while q:
-        v = q.popleft()
-        for u in g.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                edges.append((v, u))
-                q.append(u)
-    if len(parent) != g.n:
-        raise PreconditionError("graph is disconnected; no spanning tree")
-    return edges
-
-
-def ordering_from_tree(
-    g: Graph, tree_edges: Iterable[tuple], I: set, w: int
-) -> DegeneracyOrdering:
-    """Degeneracy order from a spanning tree whose leaves include I.
-
-    Walk the tree minus I starting at the low-degree vertex w, then the
-    I vertices; reversing the visit order gives a (maxdeg-1)-degeneracy
-    order where every I vertex precedes all of its neighbors.
-    """
-    delta = g.max_degree()
-    I = set(I)
-    if g.degree(w) >= delta:
-        raise PreconditionError(
-            f"start vertex {w} has degree {g.degree(w)}, needs < {delta}"
-        )
-    if w in I:
-        raise PreconditionError(f"start vertex {w} must not be in the leaf set")
-    tree_adj: dict = {v: [] for v in range(g.n)}
-    count = 0
-    for u, v in tree_edges:
-        if not g.has_edge(u, v):
-            raise PreconditionError(f"tree edge ({u},{v}) is not a graph edge")
-        tree_adj[u].append(v)
-        tree_adj[v].append(u)
-        count += 1
-    if count != g.n - 1:
-        raise PreconditionError(
-            f"spanning tree needs {g.n - 1} edges, got {count}"
-        )
-    for v in I:
-        for u in g.neighbors(v):
-            if u in I:
-                raise PreconditionError(
-                    f"leaf set is not independent: edge ({v},{u})"
-                )
-        if len(tree_adj[v]) != 1:
-            raise PreconditionError(
-                f"vertex {v} has tree degree {len(tree_adj[v])}, not a leaf"
-            )
-
-    # preorder over the tree minus I, started at w
-    visit = []
-    seen = {w}
-    stack = [w]
+def _leaves_first_order(g: Graph, I: set, w: int) -> tuple:
+    """The spanning-tree walk, with no tree built: a BFS of g - I from w
+    over g's sorted adjacency, in which each vertex's children are the
+    vertices it discovers, walked in preorder with children ascending;
+    then I ascending, and the whole visit reversed.  Every I vertex comes
+    before all of its neighbors, and every other vertex but w before its
+    BFS parent.  Leaves out the vertices that g - I does not connect
+    to w."""
+    children = {}
+    seen = I | {w}
+    queue = [w]
+    for v in queue:
+        kids = [u for u in g.neighbors(v) if u not in seen]
+        seen.update(kids)
+        queue.extend(kids)
+        children[v] = kids
+    visit, stack = [], [w]
     while stack:
         v = stack.pop()
         visit.append(v)
-        for u in sorted(tree_adj[v], reverse=True):
-            if u not in seen and u not in I:
-                seen.add(u)
-                stack.append(u)
-    if len(visit) != g.n - len(I):
-        raise PreconditionError(
-            "tree minus the leaf set does not span the rest of the graph"
-        )
+        stack.extend(reversed(children[v]))
     visit.extend(sorted(I))
-    order = tuple(reversed(visit))
+    return tuple(reversed(visit))
+
+
+def _leaves_first_ordering(g: Graph, I: set, w: int) -> DegeneracyOrdering:
+    """The (maxdeg-1)-degeneracy ordering of the walk from w, checked:
+    g - I is connected, every I vertex precedes all of its neighbors, and
+    no vertex has more than maxdeg-1 earlier neighbors."""
+    order = _leaves_first_order(g, I, w)
+    if len(order) != g.n:
+        raise InternalInvariantError(
+            "graph minus the kept leaves is disconnected"
+        )
     first = first_among_neighbors(g, order)
     if not I <= first:
         raise InternalInvariantError(
             "a designated leaf does not precede all of its neighbors"
         )
-    ordering = DegeneracyOrdering(order, delta - 1, first)
+    ordering = DegeneracyOrdering(order, g.max_degree() - 1, first)
     ordering.validate(g)
     return ordering
 
@@ -377,7 +338,8 @@ def flexible_degeneracy_order(g: Graph, R0: Iterable[int]) -> DegeneracyOutcome:
     Pipeline: drop the reserved low-degree vertex, take an independent
     subset from a greedy coloring, build the component hypergraph, keep
     the spanning-set complement as leaves of a spanning tree, and walk
-    the tree.
+    that tree from the reserved vertex as a BFS of g minus the leaves
+    discovers it; the tree itself is never built.
     """
     R0 = set(R0)
     for v in R0:
@@ -396,8 +358,7 @@ def flexible_degeneracy_order(g: Graph, R0: Iterable[int]) -> DegeneracyOutcome:
         )
 
     if coloring is None:
-        tree = _spanning_tree_edges(g, w)
-        ordering = ordering_from_tree(g, tree, set(), w)
+        ordering = _leaves_first_ordering(g, set(), w)
         return DegeneracyOutcome(
             ordering, 0, certified, len(R0), {"note": "empty request"}
         )
@@ -406,13 +367,8 @@ def flexible_degeneracy_order(g: Graph, R0: Iterable[int]) -> DegeneracyOutcome:
     chi_hat = len(set(coloring.values()))
     eps = epsilon_value(delta)
 
-    rest = [v for v in range(g.n) if v not in R_prime]
-    sub, ids = g.induced(rest)
-    comps = sub.components()
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_of[ids[i]] = ci
+    comps = g.components_without(R_prime)
+    comp_of = {v: ci for ci, (comp, _) in enumerate(comps) for v in comp}
     r_list = sorted(R_prime)
     hyper = Hypergraph.build(
         len(comps),
@@ -430,22 +386,7 @@ def flexible_degeneracy_order(g: Graph, R0: Iterable[int]) -> DegeneracyOutcome:
             f"below the {eps} fraction"
         )
 
-    keep = [v for v in range(g.n) if v not in R_pp]
-    core, core_ids = g.induced(keep)
-    if not core.is_connected():
-        raise InternalInvariantError(
-            "graph minus the kept leaves is disconnected"
-        )
-    core_pos = {v: i for i, v in enumerate(core_ids)}
-    tree = [
-        (core_ids[a], core_ids[b])
-        for a, b in _spanning_tree_edges(core, core_pos[w])
-    ]
-    for r in sorted(R_pp):
-        anchor = min(u for u in g.neighbors(r) if u not in R_pp)
-        tree.append((anchor, r))
-
-    ordering = ordering_from_tree(g, tree, R_pp, w)
+    ordering = _leaves_first_ordering(g, R_pp, w)
     satisfied = len(ordering.first & R0)
     if satisfied < certified * len(R0):
         raise InternalInvariantError(

@@ -57,6 +57,15 @@ by unit-capacity max-flow from vertex 0 to every other vertex;
 `degeneracy.hypergraph_spanning_set` trusts its input to be so, and the
 tests check every hypergraph it and its recursion receive.
 
+`reference_ordering_from_tree` is the tree walk that
+`degeneracy._leaves_first_order` replaced: it takes the spanning tree as
+an edge list, checks it (a tree of g, w below the maximum degree, the
+leaf set independent and made of leaves), rebuilds its adjacency and
+walks it.  `reference_leaf_tree` builds that tree as the degeneracy
+pipeline did, from an induced copy of g - R'' and one anchor edge per
+kept leaf; `flexible_degeneracy_order` must give the ordering that the
+walk of this tree gives.
+
 `bruteforce_bad_component` decides whether a component is bad from an
 independent block finder that tries every vertex subset;
 `listcolor.degree_choosable_coloring` must return None on exactly
@@ -85,7 +94,12 @@ from flexicolor.errors import (
 )
 from flexicolor.graph import Graph, KTreeOrder, TreedepthForest
 from flexicolor.cli import RESULT_HEADER
-from flexicolor.degeneracy import Hypergraph, _UnionFind
+from flexicolor.degeneracy import (
+    DegeneracyOrdering,
+    Hypergraph,
+    _UnionFind,
+    first_among_neighbors,
+)
 from flexicolor.instances import FORMAT_HEADER, InstanceFile, format_fraction
 from flexicolor.listcolor import Request, check_coloring, satisfied_count
 from flexicolor.maxdeg import classify_components
@@ -333,6 +347,9 @@ def reference_parse_result(text: str) -> dict:
             raise FormatError(
                 f"{key} takes {arity} argument(s), got {len(args)}", line=i
             )
+        stored = "bound_met" if key == "bound-met" else key
+        if stored in doc:
+            raise FormatError(f"second {key} line", line=i)
         if key == "method":
             doc["method"] = args[0]
         elif key in ("satisfied", "certified", "total"):
@@ -795,6 +812,106 @@ def _hyper_edge_connectivity(h: Hypergraph) -> int:
 
 def is_three_edge_connected(h: Hypergraph) -> bool:
     return _hyper_edge_connectivity(h) >= 3
+
+
+def _spanning_tree_edges(g: Graph, root: int) -> list:
+    """BFS spanning tree as parent edges."""
+    parent = {root: None}
+    q = deque([root])
+    edges = []
+    while q:
+        v = q.popleft()
+        for u in g.neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                edges.append((v, u))
+                q.append(u)
+    if len(parent) != g.n:
+        raise PreconditionError("graph is disconnected; no spanning tree")
+    return edges
+
+
+def reference_leaf_tree(g: Graph, R_pp: set, w: int) -> list:
+    """The spanning tree the degeneracy pipeline walks, as an edge list:
+    a BFS tree of the copy of g - R_pp induced from g, rooted at w, and
+    each kept leaf r hung on its least neighbor outside R_pp."""
+    core, core_ids = g.induced(v for v in range(g.n) if v not in R_pp)
+    core_pos = {v: i for i, v in enumerate(core_ids)}
+    tree = [
+        (core_ids[a], core_ids[b])
+        for a, b in _spanning_tree_edges(core, core_pos[w])
+    ]
+    for r in sorted(R_pp):
+        anchor = min(u for u in g.neighbors(r) if u not in R_pp)
+        tree.append((anchor, r))
+    return tree
+
+
+def reference_ordering_from_tree(
+    g: Graph, tree_edges: Iterable[tuple], I: set, w: int
+) -> DegeneracyOrdering:
+    """Degeneracy order from a spanning tree whose leaves include I.
+
+    Walk the tree minus I starting at the low-degree vertex w, then the
+    I vertices; reversing the visit order gives a (maxdeg-1)-degeneracy
+    order where every I vertex precedes all of its neighbors.
+    """
+    delta = g.max_degree()
+    I = set(I)
+    if g.degree(w) >= delta:
+        raise PreconditionError(
+            f"start vertex {w} has degree {g.degree(w)}, needs < {delta}"
+        )
+    if w in I:
+        raise PreconditionError(f"start vertex {w} must not be in the leaf set")
+    tree_adj: dict = {v: [] for v in range(g.n)}
+    count = 0
+    for u, v in tree_edges:
+        if not g.has_edge(u, v):
+            raise PreconditionError(f"tree edge ({u},{v}) is not a graph edge")
+        tree_adj[u].append(v)
+        tree_adj[v].append(u)
+        count += 1
+    if count != g.n - 1:
+        raise PreconditionError(
+            f"spanning tree needs {g.n - 1} edges, got {count}"
+        )
+    for v in I:
+        for u in g.neighbors(v):
+            if u in I:
+                raise PreconditionError(
+                    f"leaf set is not independent: edge ({v},{u})"
+                )
+        if len(tree_adj[v]) != 1:
+            raise PreconditionError(
+                f"vertex {v} has tree degree {len(tree_adj[v])}, not a leaf"
+            )
+
+    # preorder over the tree minus I, started at w
+    visit = []
+    seen = {w}
+    stack = [w]
+    while stack:
+        v = stack.pop()
+        visit.append(v)
+        for u in sorted(tree_adj[v], reverse=True):
+            if u not in seen and u not in I:
+                seen.add(u)
+                stack.append(u)
+    if len(visit) != g.n - len(I):
+        raise PreconditionError(
+            "tree minus the leaf set does not span the rest of the graph"
+        )
+    visit.extend(sorted(I))
+    order = tuple(reversed(visit))
+    first = first_among_neighbors(g, order)
+    if not I <= first:
+        raise InternalInvariantError(
+            "a designated leaf does not precede all of its neighbors"
+        )
+    ordering = DegeneracyOrdering(order, delta - 1, first)
+    ordering.validate(g)
+    return ordering
 
 
 def _bruteforce_blocks(g: Graph) -> list:

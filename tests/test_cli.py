@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from flexicolor import cli, graph, listcolor, treedepth, treewidth
 from flexicolor.cli import _parse_result, main
+from flexicolor.degeneracy import first_among_neighbors
 from flexicolor.errors import BudgetExceededError, FormatError
 from flexicolor.graph import TreedepthForest
 from flexicolor.instances import (
@@ -531,6 +532,38 @@ class TestCertifiedRecomputed:
         assert code == 2 and len(err.splitlines()) == 1
         assert err.startswith("error precondition") and message in err
 
+    def test_degeneracy_held_to_max_degree_minus_one(self, capsys, tmp_path):
+        """An order with a vertex of four earlier neighbors, stated as
+        4-degenerate on a graph of maximum degree 4, with first,
+        satisfied and bound-met restated to match it."""
+        inst = random_three_connected(3, 10)
+        g = inst.g
+        assert g.max_degree() == 4
+        path, res = self.solve(capsys, tmp_path, inst, "degeneracy")
+        doc = _parse_result(res.read_text())
+        top = next(v for v in doc["order"] if g.degree(v) == 4)
+        order = tuple(v for v in doc["order"] if v != top) + (top,)
+        first = first_among_neighbors(g, order)
+        satisfied = len(first & inst.request.domain())
+        met = satisfied >= doc["certified"] * doc["total"]
+        res.write_text("\n".join([
+            cli.RESULT_HEADER,
+            "method degeneracy",
+            f"satisfied {satisfied}",
+            f"certified {format_fraction(doc['certified'])}",
+            f"total {doc['total']}",
+            "degeneracy 4",
+            "order " + " ".join(map(str, order)),
+            "first " + " ".join(map(str, sorted(first))),
+            f"bound-met {'yes' if met else 'no'}",
+        ]) + "\n")
+        code, _, err = run(["verify", str(path), str(res)], capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith(
+            "error precondition stated degeneracy 4 differs from the "
+            "recomputed 3"
+        )
+
     @pytest.mark.parametrize(
         "make,method,other",
         [
@@ -744,8 +777,17 @@ class TestResultParser:
     @given(data=st.data())
     def test_agrees_with_the_line_by_line_reference(self, solved_results, data):
         _, results = solved_results
-        text = results[data.draw(st.sampled_from(sorted(results)))][1]
-        mutated = "\n".join(mutate(text.splitlines(), data)) + "\n"
+        lines = results[data.draw(st.sampled_from(sorted(results)))][1].splitlines()
+        if data.draw(st.booleans()):
+            # a key other than color stated again, later, with any value
+            j = data.draw(st.sampled_from(
+                [i for i, line in enumerate(lines) if i and not line.startswith("color ")]
+            ))
+            key = lines[j].split(" ")[0]
+            restated = f"{key} {data.draw(st.sampled_from(FUZZ_TOKENS))}"
+            at = data.draw(st.integers(j + 1, len(lines)))
+            lines = lines[:at] + [data.draw(st.sampled_from([lines[j], restated]))] + lines[at:]
+        mutated = "\n".join(mutate(lines, data)) + "\n"
 
         def outcome(parser):
             try:
@@ -754,6 +796,30 @@ class TestResultParser:
                 return "error", exc.line
 
         assert outcome(_parse_result) == outcome(reference_parse_result)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["method", "satisfied", "certified", "total", "degeneracy", "order",
+         "first", "bound-met"],
+    )
+    def test_second_scalar_line(self, capsys, solved_results, key):
+        """A key other than color stated twice is an error at its second
+        line, whether the value repeats or changes; neither wins."""
+        inst, text = solved_results[1]["degeneracy"]
+        lines = text.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.split(" ")[0] == key)
+        other = "no" if key == "bound-met" else "999"
+        for restated in (lines[at], f"{key} {other}"):
+            doc = "\n".join(lines[:at] + [restated] + lines[at:]) + "\n"
+            for parser in (_parse_result, reference_parse_result):
+                with pytest.raises(FormatError, match=f"second {key} line") as exc:
+                    parser(doc)
+                assert exc.value.line == at + 2
+        res = solved_results[0] / f"second-{key}.txt"
+        res.write_text(doc)
+        code, _, err = run(["verify", inst, str(res)], capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith("error format") and f"second {key} line" in err
 
     @pytest.mark.parametrize(
         "extra,line",

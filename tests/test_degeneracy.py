@@ -3,10 +3,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flexicolor import degeneracy
-from flexicolor.errors import PreconditionError
+from flexicolor.errors import InternalInvariantError, PreconditionError
 from flexicolor.graph import Graph
 from flexicolor.degeneracy import (
     DegeneracyOrdering,
@@ -15,7 +15,6 @@ from flexicolor.degeneracy import (
     flexible_degeneracy_order,
     hypergraph_spanning_set,
     is_three_connected,
-    ordering_from_tree,
 )
 from flexicolor.instances import fig_triplet_cover, random_three_connected
 from linecount import lines_run
@@ -24,6 +23,8 @@ from reference import (
     game_connectivity_by_trees,
     is_three_edge_connected,
     leaf_ratio,
+    reference_leaf_tree,
+    reference_ordering_from_tree,
     removable_ratio,
 )
 
@@ -66,36 +67,55 @@ class TestEpsilon:
 
 
 class TestOrderingFromTree:
-    def setup_method(self):
-        # prism on 6 vertices plus a pendant-ish chord keeps it simple:
-        # use the wheel W5 instead: center 0, cycle 1..5
-        edges = [(0, i) for i in range(1, 6)] + [
-            (i, i + 1) for i in range(1, 5)
-        ] + [(1, 5)]
-        self.g = Graph(6, edges)
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(4, 30).map(lambda h: 2 * h),
+        kind=st.sampled_from(["instance", "random", "all", "empty"]),
+    )
+    def test_walk_matches_the_tree_reference(self, seed, n, kind):
+        """The ordering is the reference walk of the tree the pipeline
+        used to build: a BFS tree of an induced copy of g - R'' from w,
+        with each kept leaf hung on its least neighbor outside R''."""
+        inst = random_three_connected(seed, n)
+        g = inst.g
+        rng = random.Random(seed)
+        R0 = {
+            "instance": inst.request.domain(),
+            "random": {v for v in range(n) if rng.random() < 0.5},
+            "all": set(range(n)),
+            "empty": set(),
+        }[kind]
+        w = degeneracy.certified_fraction(g, R0)[2]
+        assume(R0 != {w})
+        out = flexible_degeneracy_order(g, R0)
+        R_pp = set(out.trace.get("R_pp", ()))
+        assert out.trace.get("w", w) == w
+        ref = reference_ordering_from_tree(
+            g, reference_leaf_tree(g, R_pp, w), R_pp, w
+        )
+        assert out.ordering == ref
 
-    def test_leaves_come_first(self):
-        g = self.g  # maxdeg 5 at the center, rim degree 3
-        tree = [(1, 0), (1, 2), (2, 3), (3, 4), (4, 5)]
-        ordering = ordering_from_tree(g, tree, {0}, 1)
-        assert ordering.k == 4
-        assert 0 in ordering.first
-        ordering.validate(g)
-
-    def test_rejects_max_degree_start(self):
-        tree = [(0, i) for i in range(1, 6)]
-        with pytest.raises(PreconditionError, match="degree"):
-            ordering_from_tree(self.g, tree, set(), 0)
-
-    def test_rejects_non_leaf(self):
-        tree = [(1, 0), (0, 2), (2, 3), (3, 4), (4, 5)]
-        with pytest.raises(PreconditionError, match="not a leaf"):
-            ordering_from_tree(self.g, tree, {0}, 1)
-
-    def test_rejects_dependent_leaf_set(self):
-        tree = [(1, 2), (2, 3), (3, 4), (4, 5), (2, 0)]
-        with pytest.raises(PreconditionError, match="independent"):
-            ordering_from_tree(self.g, tree, {0, 5}, 1)
+    def test_output_checks_cover_the_old_input_checks(self):
+        # the wheel W5: center 0 of degree 5, rim 1..5 of degree 3
+        g = Graph(
+            6,
+            [(0, i) for i in range(1, 6)]
+            + [(i, i + 1) for i in range(1, 5)]
+            + [(1, 5)],
+        )
+        ordering = degeneracy._leaves_first_ordering(g, {0}, 1)
+        assert ordering.k == 4 and 0 in ordering.first
+        # a start vertex of maximum degree ends up after all five
+        # neighbors
+        with pytest.raises(PreconditionError, match="5 earlier neighbors"):
+            degeneracy._leaves_first_ordering(g, set(), 0)
+        # adjacent leaves cannot both precede each other
+        with pytest.raises(InternalInvariantError, match="designated leaf"):
+            degeneracy._leaves_first_ordering(g, {0, 5}, 1)
+        # removing 0, 2 and 4 cuts 3 off
+        with pytest.raises(InternalInvariantError, match="disconnected"):
+            degeneracy._leaves_first_ordering(g, {0, 2, 4}, 1)
 
     def test_validate_catches_back_degree(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
