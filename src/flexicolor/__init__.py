@@ -40,7 +40,7 @@ from .treewidth import (
     tree_pair_family,
     two_tree_family,
 )
-from .treedepth import TdInstance, derandomized_coloring
+from .treedepth import derandomized_coloring
 from .degeneracy import (
     DegeneracyOrdering,
     Hypergraph,

@@ -45,7 +45,7 @@ from .listcolor import satisfied_amount
 from .maxdeg import certified_fraction as maxdeg_fraction
 from .maxdeg import solve_unweighted, solve_weighted
 from .oracle import DEFAULT_BUDGET, optimal_satisfaction
-from .treedepth import TdInstance, derandomized_coloring
+from .treedepth import derandomized_coloring
 from .treewidth import best_of_family, lambda_family, two_tree_family
 
 RESULT_HEADER = "flexicolor-result 1"
@@ -203,7 +203,7 @@ def _solve(args) -> int:
             classes = _infer_classes(L, lam)
             coloring = lambda_family(g, inst.ktree, lam, classes, L, request)
         else:  # treedepth
-            coloring = derandomized_coloring(TdInstance(g, inst.forest, L), request)
+            coloring = derandomized_coloring(g, inst.forest, L, request)
         # the one check of the coloring in solve
         satisfied = satisfied_amount(g, L, coloring, request)
         total = request.total()
@@ -347,8 +347,6 @@ def _certified_fraction(method: str, inst: InstanceFile) -> Fraction:
     the request is not of the method's kind, or when the coloring the
     fraction is counted from does not exist.
     """
-    if method not in METHODS:
-        raise PreconditionError(f"result names unknown method {method!r}")
     request = inst.request
     if method == "degeneracy":
         return degeneracy_fraction(inst.g, request.domain())[0]
@@ -384,6 +382,8 @@ def _certified_fraction(method: str, inst: InstanceFile) -> Fraction:
 def _verify(args) -> int:
     inst = _load_instance(args.instance)
     doc = _parse_result(_read_document(args.result))
+    if doc["method"] not in METHODS:
+        raise PreconditionError(f"result names unknown method {doc['method']!r}")
     g, L, request = inst.g, inst.L, inst.request
     if request is None:
         raise PreconditionError("instance carries no request")

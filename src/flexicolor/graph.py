@@ -8,7 +8,7 @@ construction; every tie-break is by smallest vertex id or smallest color.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
@@ -86,22 +86,32 @@ class Graph:
         i = bisect_left(adj, v)
         return i < len(adj) and adj[i] == v
 
-    def components(self) -> list[list[int]]:
-        """Connected components, each sorted, ordered by smallest vertex."""
-        seen = [False] * self.n
+    def components(
+        self, within: Optional[Iterable[int]] = None
+    ) -> list[list[int]]:
+        """Connected components, each sorted, ordered by smallest vertex.
+        With `within`, those of the subgraph the given vertices induce,
+        found by walking their adjacency only."""
+        if within is None:
+            vertices = range(self.n)
+            unseen = [True] * self.n
+        else:
+            vertices = sorted(set(within))
+            unseen = defaultdict(bool, dict.fromkeys(vertices, True))
+        adj = self._adj
         comps = []
-        for s in range(self.n):
-            if seen[s]:
+        for s in vertices:
+            if not unseen[s]:
                 continue
             comp = []
             stack = [s]
-            seen[s] = True
+            unseen[s] = False
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for u in self._adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
+                for u in adj[v]:
+                    if unseen[u]:
+                        unseen[u] = False
                         stack.append(u)
             comps.append(sorted(comp))
         return comps

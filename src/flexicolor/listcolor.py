@@ -195,7 +195,7 @@ def satisfied_amount(
     return satisfied_count(coloring, request)
 
 
-def reduce_to_unique(request: Request, L: dict) -> Request:
+def reduce_to_unique(request: Request) -> Request:
     """Keep one maximum-weight color per vertex (tie: smallest color).
 
     The retained total is at least total / max list size, since each

@@ -359,7 +359,7 @@ def solve_weighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
     delta = _check_solver_preconditions(g, L)
     trace: dict = {}
     if request.kind == "weighted":
-        unique = reduce_to_unique(request, L)
+        unique = reduce_to_unique(request)
         trace["reduced_from_general"] = True
     elif request.kind == "unique":
         unique = request

@@ -1,10 +1,11 @@
 """Derandomized list coloring of graphs given with a shallow rooted
 forest.
 
-The paper's distribution colors the root of each component (its
-shallowest vertex) uniformly from its list, deletes that color
-downward, trims every untouched list by one entry (never a requested
-color), and recurses per component with one list slot less.  A request
+The paper's distribution colors the root of each component of g (its
+shallowest vertex in the forest) uniformly from its list, deletes that
+color downward, trims every untouched list by one entry (never a
+requested color), and recurses on the components of g among the
+vertices below that root, with one list slot less.  A request
 is alive while its color is still in its vertex's list.  An alive
 request in a component at level h is met with probability at least
 1/h: each ancestor at level j takes its color with probability at most
@@ -14,55 +15,35 @@ request in a component at level h is met with probability at least
           + sum over open components C of (alive weight in C) / (level of C)
 
 is a pessimistic estimator of the satisfied weight that starts at
-total/k (conditional expectations, Raghavan 1988).  The solver walks
-the components once and gives each root the color that keeps phi
-highest; the average over the root's h colors is the current phi or
-more, so phi never falls and the coloring satisfies total/k or more.
+total/k (conditional expectations, Raghavan 1988).  The solver takes
+each of these components once, as Graph.components finds them among
+the vertices below the last root, and gives each root the color that
+keeps phi highest; the average over the root's h colors is the current
+phi or more, so phi never falls and the coloring satisfies total/k or
+more.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import Graph, TreedepthForest
 from .listcolor import Request, reduce_to_unique, scaled_to_integers
 
 
-@dataclass(frozen=True)
-class TdInstance:
-    g: Graph
-    forest: TreedepthForest
-    L: dict
-
-    @property
-    def k(self) -> int:
-        return self.forest.height()
-
-    def validate(self) -> None:
-        """Check each list against the forest height.  The graph, forest
-        and lists must pass InstanceFile(g, L, forest=forest).validate()."""
-        k = self.k
-        for v in range(self.g.n):
-            if len(self.L[v]) < k:
-                raise PreconditionError(
-                    f"vertex {v} has list size {len(self.L[v])}, "
-                    f"needs {k} for forest height {k}"
-                )
-
-
-def _trimmed_lists(inst: TdInstance, prefs: dict) -> dict:
-    """Lists cut to exactly the forest height: requested color first,
-    then smallest colors."""
-    k = inst.k
+def _trimmed_lists(n: int, L: dict, prefs: dict, k: int) -> dict:
+    """Lists cut to exactly the forest height k: requested color first,
+    then smallest colors.  Raises when a list is shorter than k."""
     out = {}
-    for v in range(inst.g.n):
-        keep = []
-        if v in prefs:
-            keep.append(prefs[v])
-        for c in sorted(inst.L[v]):
+    for v in range(n):
+        if len(L[v]) < k:
+            raise PreconditionError(
+                f"vertex {v} has list size {len(L[v])}, "
+                f"needs {k} for forest height {k}"
+            )
+        keep = [prefs[v]] if v in prefs else []
+        for c in sorted(L[v]):
             if len(keep) == k:
                 break
             if c not in keep:
@@ -93,11 +74,7 @@ def _delete_and_trim(
         if len(lst) == h:
             # root color missed this list; drop the largest entry that
             # is not the requested color here
-            drop = None
-            for x in sorted(lst, reverse=True):
-                if x != prefs.get(v):
-                    drop = x
-                    break
+            drop = max((x for x in lst if x != prefs.get(v)), default=None)
             if drop is None:
                 raise InternalInvariantError(
                     f"cannot trim list at vertex {v} without touching "
@@ -113,64 +90,33 @@ def _delete_and_trim(
     return out
 
 
-class _Recursion:
-    def __init__(self, inst: TdInstance, prefs: dict):
-        inst.validate()
-        self.g = inst.g
-        self.adj = {v: inst.g.neighbors(v) for v in range(inst.g.n)}
-        self.prefs = prefs
-        self.forest = inst.forest
-        self.lists0 = _trimmed_lists(inst, prefs)
-        self.k = inst.k
+def derandomized_coloring(
+    g: Graph, forest: TreedepthForest, L: dict, request: Request
+) -> dict:
+    """Deterministic coloring of g from the lists L that satisfies
+    total/k of the request or more, k the height of the forest.  A
+    general weighted request is first cut to one heaviest color per
+    vertex (reduce_to_unique), which keeps total/(max list size) or
+    more; unweighted requests weigh one each.
 
-    def components(self, vertices: list, without: Optional[int] = None) -> list:
-        vs = set(vertices)
-        if without is not None:
-            vs.discard(without)
-        seen = set()
-        comps = []
-        for s in sorted(vs):
-            if s in seen:
-                continue
-            comp = []
-            stack = [s]
-            seen.add(s)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.adj[v]:
-                    if u in vs and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
-
-
-def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
-    """Deterministic coloring that satisfies total/height of the request
-    or more.  A general weighted request is first cut to one heaviest
-    color per vertex (reduce_to_unique), which keeps total/(max list
-    size) or more; unweighted requests weigh one each.
-
-    inst and request must pass InstanceFile(inst.g, inst.L, request,
-    forest=inst.forest).validate(); the caller checks the coloring.
+    g, L, request and forest must pass InstanceFile(g, L, request,
+    forest=forest).validate(); a list shorter than k raises
+    PreconditionError.  The caller checks the coloring.
     """
     if request.kind == "weighted":
-        request = reduce_to_unique(request, inst.L)
+        request = reduce_to_unique(request)
     prefs = dict(request.prefs)
     # phi is kept in ints: the weights are scaled by their common
     # denominator, and at a root of level h the values of its colors by
     # m = max(h - 1, 1) and phi before it by h
     scale, weights = scaled_to_integers({v: request.weights.get(v, 1) for v in prefs})
-    rec = _Recursion(inst, prefs)
+    k = forest.height()
+    lists = _trimmed_lists(g.n, L, prefs, k)
     out = {}
-    stack = [
-        (comp, rec.lists0, rec.k)
-        for comp in rec.components(list(range(inst.g.n)))
-    ]
+    stack = [(comp, lists, k) for comp in g.components()]
     while stack:
         comp, lists, h = stack.pop()
-        root = _component_root(comp, rec.forest)
+        root = _component_root(comp, forest)
         choices = sorted(lists[root])
         if len(choices) != h:
             raise PreconditionError(
@@ -200,15 +146,16 @@ def derandomized_coloring(inst: TdInstance, request: Request) -> dict:
         out[root] = color
         if len(comp) > 1:
             sub_lists = _delete_and_trim(lists, comp, root, color, prefs, h)
-            for sub in rec.components(comp, without=root):
+            # sub_lists holds the vertices of comp other than root
+            for sub in g.components(sub_lists):
                 stack.append((sub, sub_lists, h - 1))
     satisfied = sum(weights[v] for v in prefs if out[v] == prefs[v])
     total = sum(weights.values())
     # every request is alive in the trimmed lists, so the estimator
     # starts at total/k: this is its end invariant and the paper's bound
-    if satisfied * rec.k < total:
+    if satisfied * k < total:
         raise InternalInvariantError(
             f"derandomized weight {Fraction(satisfied, scale)} is below the "
-            f"estimator's start total/{rec.k}"
+            f"estimator's start total/{k}"
         )
     return out

@@ -9,11 +9,12 @@ result parser that `cli._parse_result` replaced, under the same rule.
 
 `reference_sample_coloring`, `reference_exact_request_probability` and
 `reference_derandomized_coloring` are the treedepth distribution that
-`derandomized_coloring` estimates, over the same lists and components:
-a sampler, an exact probability walk down to the asked vertex, and the
-derandomizer by exact conditional expectation, which values each root
-color with an expected-weight recursion and recurses again on the best
-one (work about h!·n at height h).  The tests hold the probabilities to
+`derandomized_coloring` estimates, taking the same g, forest and
+lists and walking the same trimmed lists and components: a sampler, an
+exact probability walk down to the asked vertex, and the derandomizer
+by exact conditional expectation, which values each root color with an
+expected-weight recursion and recurses again on the best one (work
+about h!·n at height h).  The tests hold the probabilities to
 the paper's 1/k and the one-pass estimator's weight to within 1% of the
 exact derandomizer's on a fixed corpus.
 
@@ -84,7 +85,7 @@ from fractions import Fraction
 from collections import deque
 from itertools import combinations, permutations
 from math import factorial
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from flexicolor.errors import (
     BudgetExceededError,
@@ -103,12 +104,7 @@ from flexicolor.degeneracy import (
 from flexicolor.instances import FORMAT_HEADER, InstanceFile, format_fraction
 from flexicolor.listcolor import Request, check_coloring, satisfied_count
 from flexicolor.maxdeg import classify_components
-from flexicolor.treedepth import (
-    TdInstance,
-    _component_root,
-    _delete_and_trim,
-    _Recursion,
-)
+from flexicolor.treedepth import _component_root, _delete_and_trim, _trimmed_lists
 from flexicolor.treewidth import (
     ColoringFamily,
     _base_family,
@@ -375,18 +371,37 @@ def reference_parse_result(text: str) -> dict:
     return doc
 
 
-def _unique_prefs(request: Optional[Request]) -> dict:
-    if request is None:
-        return {}
-    if request.kind == "weighted":
-        raise PreconditionError(
-            "general weighted requests must go through reduce_to_unique first"
-        )
-    return dict(request.prefs)
+class _Td(NamedTuple):
+    """What the treedepth references walk: the graph, its forest and the
+    unique request's colors by vertex."""
+
+    g: Graph
+    forest: TreedepthForest
+    prefs: dict
 
 
-def _sample(rec, comp: list, lists: dict, h: int, rng: random.Random) -> dict:
-    root = _component_root(comp, rec.forest)
+def _start(
+    g: Graph, forest: TreedepthForest, L: dict, request: Optional[Request]
+) -> tuple:
+    """(record, lists trimmed to the forest height, that height)."""
+    prefs = {}
+    if request is not None:
+        if request.kind == "weighted":
+            raise PreconditionError(
+                "general weighted requests must go through reduce_to_unique first"
+            )
+        prefs = dict(request.prefs)
+    k = forest.height()
+    return _Td(g, forest, prefs), _trimmed_lists(g.n, L, prefs, k), k
+
+
+def _below(td: _Td, comp: list, root: int) -> list:
+    """The components of g among the vertices of comp other than root."""
+    return td.g.components(v for v in comp if v != root)
+
+
+def _sample(td: _Td, comp: list, lists: dict, h: int, rng: random.Random) -> dict:
+    root = _component_root(comp, td.forest)
     if len(lists[root]) != h:
         raise PreconditionError(
             f"vertex {root} has list size {len(lists[root])} at a "
@@ -396,28 +411,31 @@ def _sample(rec, comp: list, lists: dict, h: int, rng: random.Random) -> dict:
     out = {root: c}
     if len(comp) == 1:
         return out
-    sub_lists = _delete_and_trim(lists, comp, root, c, rec.prefs, h)
-    for sub in rec.components(comp, without=root):
-        out.update(_sample(rec, sub, sub_lists, h - 1, rng))
+    sub_lists = _delete_and_trim(lists, comp, root, c, td.prefs, h)
+    for sub in _below(td, comp, root):
+        out.update(_sample(td, sub, sub_lists, h - 1, rng))
     return out
 
 
 def reference_sample_coloring(
-    inst: TdInstance, seed: int, request: Optional[Request] = None
+    g: Graph,
+    forest: TreedepthForest,
+    L: dict,
+    seed: int,
+    request: Optional[Request] = None,
 ) -> dict:
     """One coloring drawn from the recursive distribution."""
-    prefs = _unique_prefs(request)
-    rec = _Recursion(inst, prefs)
+    td, lists, k = _start(g, forest, L, request)
     rng = random.Random(seed)
     out = {}
-    for comp in rec.components(list(range(inst.g.n))):
-        out.update(_sample(rec, comp, rec.lists0, rec.k, rng))
-    check_coloring(inst.g, inst.L, out)
+    for comp in g.components():
+        out.update(_sample(td, comp, lists, k, rng))
+    check_coloring(g, L, out)
     return out
 
 
-def _probability(rec, comp: list, lists: dict, h: int, v: int, c: int) -> Fraction:
-    root = _component_root(comp, rec.forest)
+def _probability(td: _Td, comp: list, lists: dict, h: int, v: int, c: int) -> Fraction:
+    root = _component_root(comp, td.forest)
     choices = sorted(lists[root])
     if len(choices) != h:
         raise PreconditionError(
@@ -428,74 +446,79 @@ def _probability(rec, comp: list, lists: dict, h: int, v: int, c: int) -> Fracti
         return Fraction(int(c in choices), h)
     total = Fraction(0)
     for rc in choices:
-        sub_lists = _delete_and_trim(lists, comp, root, rc, rec.prefs, h)
-        for sub in rec.components(comp, without=root):
+        sub_lists = _delete_and_trim(lists, comp, root, rc, td.prefs, h)
+        for sub in _below(td, comp, root):
             if v in sub:
                 total += Fraction(1, h) * _probability(
-                    rec, sub, sub_lists, h - 1, v, c
+                    td, sub, sub_lists, h - 1, v, c
                 )
                 break
     return total
 
 
-def _expected_weight(rec, comp: list, lists: dict, h: int, weights: dict) -> Fraction:
-    root = _component_root(comp, rec.forest)
+def _expected_weight(td: _Td, comp: list, lists: dict, h: int, weights: dict) -> Fraction:
+    root = _component_root(comp, td.forest)
     total = Fraction(0)
     for rc in sorted(lists[root]):
         value = Fraction(0)
-        if rec.prefs.get(root) == rc:
+        if td.prefs.get(root) == rc:
             value += weights[root]
         if len(comp) > 1:
-            sub_lists = _delete_and_trim(lists, comp, root, rc, rec.prefs, h)
-            for sub in rec.components(comp, without=root):
-                value += _expected_weight(rec, sub, sub_lists, h - 1, weights)
+            sub_lists = _delete_and_trim(lists, comp, root, rc, td.prefs, h)
+            for sub in _below(td, comp, root):
+                value += _expected_weight(td, sub, sub_lists, h - 1, weights)
         total += Fraction(1, h) * value
     return total
 
 
-def _derandomize(rec, comp: list, lists: dict, h: int, weights: dict) -> dict:
-    root = _component_root(comp, rec.forest)
+def _derandomize(td: _Td, comp: list, lists: dict, h: int, weights: dict) -> dict:
+    root = _component_root(comp, td.forest)
     best_c = None
     best_val = None
     for rc in sorted(lists[root]):
         value = Fraction(0)
-        if rec.prefs.get(root) == rc:
+        if td.prefs.get(root) == rc:
             value += weights[root]
         if len(comp) > 1:
-            sub_lists = _delete_and_trim(lists, comp, root, rc, rec.prefs, h)
-            for sub in rec.components(comp, without=root):
-                value += _expected_weight(rec, sub, sub_lists, h - 1, weights)
+            sub_lists = _delete_and_trim(lists, comp, root, rc, td.prefs, h)
+            for sub in _below(td, comp, root):
+                value += _expected_weight(td, sub, sub_lists, h - 1, weights)
         if best_val is None or value > best_val:
             best_c, best_val = rc, value
     out = {root: best_c}
     if len(comp) > 1:
-        sub_lists = _delete_and_trim(lists, comp, root, best_c, rec.prefs, h)
-        for sub in rec.components(comp, without=root):
-            out.update(_derandomize(rec, sub, sub_lists, h - 1, weights))
+        sub_lists = _delete_and_trim(lists, comp, root, best_c, td.prefs, h)
+        for sub in _below(td, comp, root):
+            out.update(_derandomize(td, sub, sub_lists, h - 1, weights))
     return out
 
 
 def reference_exact_request_probability(
-    inst: TdInstance, v: int, c: int, request: Optional[Request] = None
+    g: Graph,
+    forest: TreedepthForest,
+    L: dict,
+    v: int,
+    c: int,
+    request: Optional[Request] = None,
 ) -> Fraction:
-    prefs = _unique_prefs(request)
-    rec = _Recursion(inst, prefs)
-    for comp in rec.components(list(range(inst.g.n))):
+    td, lists, k = _start(g, forest, L, request)
+    for comp in g.components():
         if v in comp:
-            return _probability(rec, comp, rec.lists0, rec.k, v, c)
+            return _probability(td, comp, lists, k, v, c)
     raise AssertionError(f"vertex {v} missing from every component")
 
 
-def reference_derandomized_coloring(inst: TdInstance, request: Request) -> tuple:
+def reference_derandomized_coloring(
+    g: Graph, forest: TreedepthForest, L: dict, request: Request
+) -> tuple:
     """(coloring, expectation) of the two-pass derandomizer."""
-    prefs = _unique_prefs(request)
-    weights = {v: Fraction(request.weights[v]) for v in prefs}
-    rec = _Recursion(inst, prefs)
+    td, lists, k = _start(g, forest, L, request)
+    weights = {v: Fraction(request.weights[v]) for v in td.prefs}
     out = {}
     expectation = Fraction(0)
-    for comp in rec.components(list(range(inst.g.n))):
-        expectation += _expected_weight(rec, comp, rec.lists0, rec.k, weights)
-        out.update(_derandomize(rec, comp, rec.lists0, rec.k, weights))
+    for comp in g.components():
+        expectation += _expected_weight(td, comp, lists, k, weights)
+        out.update(_derandomize(td, comp, lists, k, weights))
     return out, expectation
 
 

@@ -36,7 +36,7 @@ from flexicolor.listcolor import (
 )
 from flexicolor.maxdeg import classify_components, solve_unweighted, solve_weighted
 from flexicolor.oracle import optimal_satisfaction
-from flexicolor.treedepth import TdInstance, derandomized_coloring
+from flexicolor.treedepth import derandomized_coloring
 from flexicolor.treewidth import (
     best_of_family,
     build_SA,
@@ -206,19 +206,19 @@ def test_ac06_treedepth_probabilities():
         height = 2 + seed % 3
         kind = "unique" if seed % 2 == 0 else "weighted"
         ti = random_treedepth(seed, n, height, request_kind=kind)
-        inst = TdInstance(ti.g, ti.forest, ti.L)
-        k = inst.k
+        inst = (ti.g, ti.forest, ti.L)
+        k = ti.forest.height()
         if kind == "unique":
             unique = ti.request
         else:
-            unique = reduce_to_unique(ti.request, ti.L)
+            unique = reduce_to_unique(ti.request)
             if not unique.prefs:
                 continue
         for v, c in unique.prefs.items():
-            p = reference_exact_request_probability(inst, v, c, unique)
+            p = reference_exact_request_probability(*inst, v, c, unique)
             assert p >= Fraction(1, k), (seed, v, c, p)
             pairs += 1
-        col = derandomized_coloring(inst, unique)
+        col = derandomized_coloring(*inst, unique)
         sat = satisfied_amount(ti.g, ti.L, col, ti.request)
         if kind == "unique":
             assert sat * k >= ti.request.total(), seed

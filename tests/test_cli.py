@@ -586,6 +586,22 @@ class TestCertifiedRecomputed:
         code, _, err = run(["verify", str(path), str(res)], capsys)
         assert code == 2 and "unknown method" in err
 
+    def test_unknown_method_named_before_the_recount(self, capsys, tmp_path):
+        # an empty coloring would fail the recount first ("coloring
+        # misses vertex 0"); the method must be named before that
+        path, res = tmp_path / "d.fi", tmp_path / "d.res"
+        run(["generate", "fig-diamond", "--out", str(path)], capsys)
+        res.write_text("\n".join([
+            cli.RESULT_HEADER,
+            "method foo",
+            "satisfied 0",
+            "certified 0",
+            "total 0",
+        ]) + "\n")
+        code, _, err = run(["verify", str(path), str(res)], capsys)
+        assert code == 2
+        assert err == "error precondition result names unknown method 'foo'\n"
+
     @pytest.mark.parametrize(
         "make,method",
         [

@@ -175,6 +175,31 @@ class TestGraphBasics:
         ]
         assert g.components_without(removed) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 14),
+        st.integers(0, 3),
+        st.floats(0.05, 0.6),
+        st.sampled_from(["empty", "all", "some"]),
+    )
+    def test_components_within(self, seed, n, isolated, density, which):
+        # `isolated` edgeless vertices follow the n of random_sparse
+        rng = random.Random(seed)
+        g = Graph(n + isolated, random_sparse(rng, n, density).edges)
+        within = {
+            "empty": [],
+            "all": list(range(g.n)),
+            "some": [v for v in range(g.n) if rng.random() < 0.6],
+        }[which]
+        sub, ids = g.induced(within)
+        want = [[ids[i] for i in comp] for comp in sub.components()]
+        assert g.components(within) == want
+        # any iterable, in any order and with repeats
+        assert g.components(iter(within[::-1] + within)) == want
+        if which == "all":
+            assert want == g.components()
+
     def test_induced_relabels(self):
         g = Graph(5, [(0, 2), (2, 4), (1, 3)])
         sub, ids = g.induced([0, 2, 4])

@@ -171,19 +171,17 @@ class TestValidation:
 
 class TestReduceToUnique:
     def test_argmax_with_smallest_color_tiebreak(self):
-        L = {0: {1, 2, 3}}
         r = Request(
             "weighted",
             table={(0, 1): Fraction(3), (0, 2): Fraction(5), (0, 3): Fraction(5)},
         )
-        u = reduce_to_unique(r, L)
+        u = reduce_to_unique(r)
         assert u.kind == "unique"
         assert u.prefs == {0: 2} and u.weights[0] == 5
 
     def test_drops_zero_weight_vertices(self):
-        L = {0: {1}, 1: {1}}
         r = Request("weighted", table={(0, 1): Fraction(0), (1, 1): Fraction(1)})
-        u = reduce_to_unique(r, L)
+        u = reduce_to_unique(r)
         assert 0 not in u.prefs
 
     def test_reduction_factor_bound(self):
@@ -198,7 +196,7 @@ class TestReduceToUnique:
             r = Request("weighted", table=table)
             if r.total() == 0:
                 continue
-            u = reduce_to_unique(r, L)
+            u = reduce_to_unique(r)
             assert u.total() * 3 >= r.total()
 
 
