@@ -186,7 +186,9 @@ def _solve(args) -> int:
     else:
         certified = _certified_fraction(method, inst)
         if method == "two-tree":
-            family = two_tree_family(g, inst.ktree, L)
+            # one build per parsed body, named here so that a tracer
+            # rebinding two_tree_family counts the builds
+            family = inst.body_fact("two-tree family", two_tree_family)
             coloring = best_of_family(g, L, family, request)
         elif method == "lambda":
             if not args.lam:

@@ -22,9 +22,10 @@ from .errors import (
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.  It keeps
+    the proper colorings proper_coloring made of it, by (power, mode)."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj", "_edges", "_colorings")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -45,6 +46,7 @@ class Graph:
         self.n = n
         self._edges = tuple(sorted(seen))
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._colorings = {}
 
     @classmethod
     def _from_sorted(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -61,6 +63,7 @@ class Graph:
         g.n = n
         g._edges = tuple(edges)
         g._adj = tuple(map(tuple, adj))
+        g._colorings = {}
         return g
 
     @property
@@ -424,10 +427,11 @@ def choosable_coloring(g: Graph, lists) -> Optional[dict]:
 
 
 def _brooks_coloring(g: Graph) -> dict[int, int]:
-    """Proper coloring with at most max_degree colors: the
-    degree-choosable construction with every list range(max_degree),
-    after the parity coloring of paths and even cycles.  g must be
-    connected."""
+    """Proper coloring of a connected graph with at most max_degree
+    colors: the degree-choosable construction with every list
+    range(max_degree), after the parity coloring of paths and even
+    cycles.  It is checked at every edge."""
+    g.require_connected()
     delta = g.max_degree()
     if g.is_complete():
         raise BrooksObstructionError("complete graph")
@@ -436,11 +440,15 @@ def _brooks_coloring(g: Graph) -> dict[int, int]:
     if delta <= 2:
         # path or even cycle: 2-color by BFS parity
         dist = g.bfs_distances(0)
-        return {v: dist[v] % 2 for v in range(g.n)}
-    color = choosable_coloring(g, [range(delta)] * g.n)
-    if color is None:
-        # a regular Gallai tree is a single clique or odd cycle
-        raise InternalInvariantError("Brooks coloring met a tight Gallai tree")
+        color = {v: dist[v] % 2 for v in range(g.n)}
+    else:
+        color = choosable_coloring(g, [range(delta)] * g.n)
+        if color is None:
+            # a regular Gallai tree is a single clique or odd cycle
+            raise InternalInvariantError("Brooks coloring met a tight Gallai tree")
+    for u, v in g.edges:
+        if color[u] == color[v]:
+            raise InternalInvariantError(f"improper Brooks coloring at edge ({u},{v})")
     return color
 
 
@@ -464,44 +472,50 @@ def _brooks_two_connected(g: Graph, delta: int) -> dict[int, int]:
     )
 
 
+def _greedy_coloring(g: Graph, power: int) -> dict[int, int]:
+    """The greedy coloring of g^power that proper_coloring describes."""
+    adj, col = g._adj, [-1] * g.n
+    for s in range(g.n):
+        # the ball of radius `power` around s, by breadth-first search
+        ball, frontier = {s}, [s]
+        for _ in range(power):
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if u not in ball:
+                        ball.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        used = {col[u] for u in ball}
+        c = 0
+        while c in used:
+            c += 1
+        col[s] = c
+    return dict(enumerate(col))
+
+
 def proper_coloring(g: Graph, power: int, mode: str) -> dict[int, int]:
     """Proper coloring of g^power, which joins the vertices at distance
     <= power in g.  mode "greedy" gives each vertex in id order the least
     color missing from its ball of radius `power`, found by a walk in g,
     so g^power is never built; mode "brooks" colors g (power 1 only) with
     at most maxdeg colors and fails on complete graphs and odd cycles.
+
+    Each (power, mode) is colored once per graph: g keeps the coloring
+    and every call gets a copy of it.  A call that raises keeps nothing.
     """
     if power not in (1, 3):
         raise PreconditionError(f"power must be 1 or 3, got {power}")
     if mode not in ("greedy", "brooks"):
         raise PreconditionError(f"unknown coloring mode {mode!r}")
-    if mode == "greedy":
-        adj, col = g._adj, [-1] * g.n
-        for s in range(g.n):
-            # the ball of radius `power` around s, by breadth-first search
-            ball, frontier = {s}, [s]
-            for _ in range(power):
-                nxt = []
-                for v in frontier:
-                    for u in adj[v]:
-                        if u not in ball:
-                            ball.add(u)
-                            nxt.append(u)
-                frontier = nxt
-            used = {col[u] for u in ball}
-            c = 0
-            while c in used:
-                c += 1
-            col[s] = c
-        return dict(enumerate(col))
-    if power != 1:
+    if mode == "brooks" and power != 1:
         raise PreconditionError(f"Brooks coloring needs power 1, got {power}")
-    g.require_connected()
-    coloring = _brooks_coloring(g)
-    for u, v in g.edges:
-        if coloring[u] == coloring[v]:
-            raise InternalInvariantError(f"improper Brooks coloring at edge ({u},{v})")
-    return coloring
+    colorings, key = g._colorings, (power, mode)
+    if key not in colorings:
+        colorings[key] = (
+            _greedy_coloring(g, power) if mode == "greedy" else _brooks_coloring(g)
+        )
+    return dict(colorings[key])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,25 @@ class InstanceFile:
     forest: Optional[TreedepthForest] = None
     name: str = ""
     seed: Optional[int] = None
+    # the parsed body this instance came from; None unless parse made it
+    _body: Optional["_Body"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def body_fact(self, key: str, build):
+        """build(g, ktree, L) for the body parse read this instance from,
+        built once from the body's own graph, order and lists and kept
+        on the body under key: every parse of that body shares it while
+        the body stays in parse's slot, so it must not be mutated.  An
+        instance parse did not make gets build(self.g, self.ktree,
+        self.L) on every call.  A build that raises keeps nothing."""
+        body = self._body
+        if body is None:
+            return build(self.g, self.ktree, self.L)
+        facts = body.facts
+        if key not in facts:
+            facts[key] = build(body.g, body.sections.ktree, body.sections.L)
+        return facts[key]
 
     def validate(self) -> None:
         """The one check of the instance invariants: the lists, the
@@ -415,13 +434,15 @@ class _Body:
     checks, kept for parse to raise once it has read the tail, which
     carries on from the rank of `sections` and from line `lineno`.  g is
     None when `missing` is set; `sections.L` is never handed out, each
-    parse gets a copy."""
+    parse gets a copy.  `facts` holds what InstanceFile.body_fact built
+    from the body."""
 
     sections: _Sections
     lineno: int
     g: Optional[Graph]
     missing: Optional[str]
     failures: tuple
+    facts: dict = field(default_factory=dict, compare=False)
 
 
 def _read_body(body: str) -> _Body:
@@ -461,9 +482,10 @@ def parse(text: str) -> InstanceFile:
     The body of the document, its lines before the first one that starts
     with "request-kind", is read, built and checked once per process for
     as long as it is the last body parsed: a document with the same body
-    reuses its graph, lists, order and forest, and only the tail, the
-    request, is read and checked again.  The result and the first error
-    do not depend on it; the lists of the result are frozensets.
+    reuses its graph, lists, order and forest, and what body_fact built
+    from them, and only the tail, the request, is read and checked
+    again.  The result and the first error do not depend on it; the
+    lists of the result are frozensets.
     """
     if text.partition("\n")[0] != FORMAT_HEADER:
         raise FormatError(f"missing header {FORMAT_HEADER!r}", line=1)
@@ -490,6 +512,7 @@ def parse(text: str) -> InstanceFile:
         inst._raise_first(*body.failures)
     except PreconditionError as exc:
         raise FormatError(str(exc))
+    inst._body = body
     return inst
 
 

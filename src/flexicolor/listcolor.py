@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
-from operator import attrgetter, eq, floordiv, itemgetter, mul
+from operator import attrgetter, eq, floordiv, gt, itemgetter, mul
 from typing import Iterable, Optional, Union
 
 from .errors import PreconditionError
@@ -58,13 +58,6 @@ def exact_sum(weights: Iterable) -> Fraction:
     if d == 1:
         return Fraction(sum(nums))
     return Fraction(sum(map(mul, nums, map(floordiv, repeat(d), dens))), d)
-
-
-def scaled_to_integers(weights: dict) -> tuple:
-    """(d, {key: weight * d}) for d the least common denominator of the
-    rational weights, so that they can be added and compared as ints."""
-    d = lcm(*{w.denominator for w in weights.values()})
-    return d, {k: w.numerator * (d // w.denominator) for k, w in weights.items()}
 
 
 def _least_numerator(weights: Iterable):
@@ -111,14 +104,29 @@ class Request:
             return {v for (v, c), w in self.table.items() if w > 0}
         return set(self.prefs)
 
-    def weight_map(self) -> dict:
-        """(vertex, color) -> weight of every requested pair with a
-        positive weight: 1 per preference for unweighted requests."""
+    def scaled_weight_map(self) -> tuple:
+        """(d, {(vertex, color): weight * d}) over every requested pair
+        with a positive weight, d the least common denominator of the
+        weights, so that they add and compare as ints: (1, 1 per
+        preference) for unweighted requests.  One pass over the pairs
+        reads numerators and denominators; they are rescaled only when
+        d > 1."""
         if self.kind == "unweighted":
-            return {(v, c): 1 for v, c in self.prefs.items()}
+            return 1, dict.fromkeys(self.prefs.items(), 1)
         if self.kind == "unique":
-            return {(v, c): self.weights[v] for v, c in self.prefs.items()}
-        return {vc: w for vc, w in self.table.items() if w > 0}
+            pairs = self.prefs.items()
+            weights = list(map(self.weights.__getitem__, self.prefs))
+        else:
+            pairs, weights = self.table, list(self.table.values())
+        nums = map(attrgetter("numerator"), weights)
+        dens = list(map(attrgetter("denominator"), weights))
+        d = lcm(*set(dens))
+        if d > 1:
+            nums = map(mul, nums, map(floordiv, repeat(d), dens))
+        if self.kind == "unique":  # its weights are positive
+            return d, dict(zip(pairs, nums))
+        nums = list(nums)
+        return d, dict(compress(zip(pairs, nums), map(gt, nums, repeat(0))))
 
     def total(self) -> Union[int, Fraction]:
         if self.kind == "unweighted":

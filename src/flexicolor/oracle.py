@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .errors import BudgetExceededError
 from .graph import Graph
-from .listcolor import Request, scaled_to_integers
+from .listcolor import Request
 
 DEFAULT_BUDGET = 10**6
 
@@ -189,7 +189,7 @@ def optimal_satisfaction(
     InstanceFile(g, L, request).validate().
     """
     order, scopes, cells = elimination_order(g, L, budget)
-    scale, gain = scaled_to_integers(request.weight_map())
+    scale, gain = request.scaled_weight_map()
     count, best, coloring = _eliminate(g, L, gain, order, scopes)
     optimum = best if request.kind == "unweighted" else Fraction(best, scale)
     return OracleResult(optimum, coloring, count, cells)

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import Graph, TreedepthForest
-from .listcolor import Request, reduce_to_unique, scaled_to_integers
+from .listcolor import Request, reduce_to_unique
 
 
 def _trimmed_lists(n: int, L: dict, prefs: dict, k: int) -> dict:
@@ -109,7 +109,8 @@ def derandomized_coloring(
     # phi is kept in ints: the weights are scaled by their common
     # denominator, and at a root of level h the values of its colors by
     # m = max(h - 1, 1) and phi before it by h
-    scale, weights = scaled_to_integers({v: request.weights.get(v, 1) for v in prefs})
+    scale, gain = request.scaled_weight_map()
+    weights = {v: w for (v, _), w in gain.items()}
     k = forest.height()
     lists = _trimmed_lists(g.n, L, prefs, k)
     out = {}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 from operator import itemgetter
@@ -22,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import Graph, KTreeOrder, validate_ktree_order
-from .listcolor import Request, scaled_to_integers
+from .listcolor import Request
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,9 @@ def best_of_family(
     """
     if not family.members:
         raise PreconditionError("empty coloring family")
-    scale, gain = scaled_to_integers(request.weight_map())
+    _, gain = request.scaled_weight_map()
     value, member = _first_best(family.members, gain)
-    _check_averaging(Fraction(value, scale), family.period, request.total())
+    _check_averaging(value, family.period, sum(gain.values()))
     return dict(enumerate(member))
 
 
@@ -65,9 +64,10 @@ def _first_best(members, gain: dict) -> tuple:
     return max(scored, key=itemgetter(0))
 
 
-def _check_averaging(value, period: int, total) -> None:
+def _check_averaging(value: int, period: int, total: int) -> None:
     """By averaging, the best member of a family in which every pair
-    appears in 1/period of the members satisfies total/period."""
+    appears in 1/period of the members satisfies total/period; value
+    and total are in the units of the request's scaled gain map."""
     if value * period < total:
         raise InternalInvariantError(
             f"best member satisfies {value}, below total/{period} of {total}"
@@ -366,13 +366,13 @@ def lambda_family(
             f"family walk would visit {blocks} blocks of {g.n} vertices "
             f"each, above the cap of {FAMILY_CAP}"
         )
-    scale, gain = scaled_to_integers(request.weight_map())
+    _, gain = request.scaled_weight_map()
     value, winner, members = _walk(g, order, lam, classes, L, range(g.n), gain)
     if members != size:
         raise InternalInvariantError(
             f"family has {members} members, recurrence says {size}"
         )
-    _check_averaging(Fraction(value, scale), k + 1, request.total())
+    _check_averaging(value, k + 1, sum(gain.values()))
     return winner
 
 

@@ -674,6 +674,111 @@ class TestCertifiedRecomputed:
         assert on(solved.g) == once and on(rewritten.g) == once
 
 
+def same_body_documents(inst, count: int) -> list:
+    """count documents of inst's body, each with a request of its own."""
+    rng = random.Random(count)
+    docs = []
+    for size in range(1, count + 1):
+        vs = rng.sample(range(inst.g.n), size)
+        inst.request = Request(
+            "unweighted", prefs={v: rng.choice(sorted(inst.L[v])) for v in vs}
+        )
+        docs.append(serialize(inst))
+    return docs
+
+
+# (instance, method, the (power, mode) of the coloring its fraction
+# counts, or None)
+BODY_FACT_CASES = [
+    pytest.param(lambda: random_ktree(1, 30, 2), "two-tree", None, id="two-tree"),
+    pytest.param(lambda: two_cliques_matching(3), "maxdeg", (1, "brooks"), id="maxdeg"),
+    pytest.param(
+        lambda: random_bounded_degree(2, 14, 3, request_kind="unique"),
+        "maxdeg-weighted",
+        (3, "greedy"),
+        id="maxdeg-weighted",
+    ),
+    pytest.param(
+        lambda: random_three_connected(5, 14), "degeneracy", (1, "greedy"),
+        id="degeneracy",
+    ),
+]
+
+
+class TestBodyFacts:
+    """The 2-tree family and the proper colorings of g are made once per
+    parsed body, and change no answer; a failed build is not kept."""
+
+    def answer(self, capsys, path, method, res) -> tuple:
+        """(exit status, result document, stderr) of a solve and the
+        (exit status, stdout, stderr) of its verify; the document and the
+        verify are None when solve exits 2 or more."""
+        argv = ["solve", str(path), "--method", method, "--out", str(res)]
+        code, _, err = run(argv, capsys)
+        if code >= 2:
+            return code, None, err, None
+        return code, res.read_bytes(), err, run(["verify", str(path), str(res)], capsys)
+
+    def test_two_tree_family_built_once_per_body(self, capsys, tmp_path, monkeypatch):
+        path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        docs = same_body_documents(random_ktree(3, 40, 2), 8)
+        parse(OTHER_BODY)
+        builds = record_calls(monkeypatch, treewidth.two_tree_family)
+        for doc in docs:
+            path.write_text(doc)
+            assert self.answer(capsys, path, "two-tree", res)[0] == 0
+        assert len(builds) == 1
+        # bodies A, B, A: the slot holds one body, so A is built again
+        for doc in (serialize(random_ktree(4, 40, 2)), docs[0]):
+            path.write_text(doc)
+            assert self.answer(capsys, path, "two-tree", res)[0] == 0
+        assert len(builds) == 3
+
+    @pytest.mark.parametrize("make,method,coloring", BODY_FACT_CASES[1:])
+    def test_one_proper_coloring_per_solve_and_verify(
+        self, capsys, tmp_path, monkeypatch, make, method, coloring
+    ):
+        path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        path.write_text(serialize(make()))
+        parse(OTHER_BODY)
+        made = {
+            "brooks": record_calls(monkeypatch, graph._brooks_coloring),
+            "greedy": record_calls(monkeypatch, graph._greedy_coloring),
+        }
+        assert self.answer(capsys, path, method, res)[0] == 0
+        mode = coloring[1]
+        assert {m: len(calls) for m, calls in made.items()} == {
+            m: int(m == mode) for m in made
+        }
+
+    @pytest.mark.parametrize("make,method,coloring", BODY_FACT_CASES)
+    def test_warm_answers_equal_cold_ones(
+        self, capsys, tmp_path, make, method, coloring
+    ):
+        path = tmp_path / "inst.fi"
+        path.write_text(serialize(make()))
+        parse(OTHER_BODY)
+        cold = self.answer(capsys, path, method, tmp_path / "cold.txt")
+        assert cold[0] == 0 and cold[3][0] == 0
+        assert self.answer(capsys, path, method, tmp_path / "warm.txt") == cold
+        if coloring is not None:
+            # a coloring handed out and then changed leaves the next answer
+            handed = graph.proper_coloring(parse(path.read_text()).g, *coloring)
+            handed.update(dict.fromkeys(handed, 0))
+            assert self.answer(capsys, path, method, tmp_path / "again.txt") == cold
+
+    def test_refused_two_tree_family_is_not_kept(self, capsys, tmp_path, monkeypatch):
+        path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        path.write_text(serialize(random_ktree(1, 9, 2, list_size=2)))
+        builds = record_calls(monkeypatch, treewidth.two_tree_family)
+        answers = [self.answer(capsys, path, "two-tree", res) for _ in range(3)]
+        assert answers[0] == (
+            2, None, "error precondition vertex 0 has list size 2, expected 3\n", None
+        )
+        assert answers == answers[:1] * 3
+        assert len(builds) == 3
+
+
 def record_calls(monkeypatch, fn) -> list:
     """Rebind fn in every loaded flexicolor module that holds it; the
     returned list gets the first argument of each call."""

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import re
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexicolor.errors import FormatError
+from flexicolor.errors import FormatError, PreconditionError
 from flexicolor.instances import (
     FIXTURES,
+    InstanceFile,
     fig_3tree,
     fig_cycle,
     fig_diamond,
@@ -538,6 +540,36 @@ class TestWarmSlot:
         second.request = None
         third = parse(text)
         assert serialize(third) == text and third.g is first.g
+
+    def test_body_facts_are_built_once_from_the_body(self):
+        text = serialize(random_ktree(4, 12, 2))
+        parse(OTHER_BODY)
+        built = []
+
+        def build(*args):
+            built.append(args)
+            return len(built)
+
+        def refuse(*args):
+            built.append(args)
+            raise PreconditionError("refused")
+
+        first = parse(text)
+        first.L = {}  # the fact is of the body, not of this instance
+        assert first.body_fact("fact", build) == 1
+        assert parse(text).body_fact("fact", build) == 1
+        assert built == [(first.g, first.ktree, parse(text).L)]
+        for _ in range(2):  # a build that raises keeps nothing
+            with pytest.raises(PreconditionError, match="refused"):
+                parse(text).body_fact("refusal", refuse)
+        assert len(built) == 3
+        # an instance parse did not make builds from its own fields, each
+        # time, and so does a copy of a parsed one
+        for inst in (dataclasses.replace(first), InstanceFile(first.g, {})):
+            for _ in range(2):
+                assert inst.body_fact("fact", build) == len(built)
+                assert built[-1] == (inst.g, inst.ktree, inst.L)
+        assert len(built) == 7
 
 
 class TestParseScaling:

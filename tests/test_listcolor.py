@@ -227,8 +227,9 @@ def colored_requests(draw):
 
 
 class TestExactSums:
-    """total and satisfied_amount sum over one common denominator; the
-    value and the type are those of adding Fractions one by one."""
+    """total, satisfied_amount and scaled_weight_map sum over one common
+    denominator; the value and the type are those of adding Fractions
+    one by one."""
 
     @settings(max_examples=300, deadline=None)
     @given(colored_requests())
@@ -248,6 +249,17 @@ class TestExactSums:
         got_total, got_hit = r.total(), satisfied_amount(g, L, coloring, r)
         assert (got_total, type(got_total)) == (total, type(total))
         assert (got_hit, type(got_hit)) == (hit, type(hit))
+        # the pairs of positive weight, each scaled to an int
+        scale, gain = r.scaled_weight_map()
+        positive = (
+            [vc for vc, w in r.table.items() if w > 0]
+            if r.kind == "weighted" else list(r.prefs.items())
+        )
+        assert list(gain) == positive
+        assert all(type(x) is int and x > 0 for x in gain.values())
+        assert Fraction(sum(gain.values()), scale) == total
+        assert Fraction(sum(x for (v, c), x in gain.items() if coloring[v] == c),
+                        scale) == hit
 
     def test_exact_sum_of_nothing_and_of_integers(self):
         assert exact_sum([]) == 0 and type(exact_sum([])) is Fraction
