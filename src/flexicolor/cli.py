@@ -408,7 +408,7 @@ def _verify(args) -> int:
                 f"result colors vertex {stray[0]}, outside 0..{g.n - 1}"
             )
         # satisfied_amount checks the coloring before it counts
-        satisfied = Fraction(satisfied_amount(g, L, coloring, request))
+        satisfied = satisfied_amount(g, L, coloring, request)
         total = request.total()
 
     if satisfied != doc["satisfied"]:

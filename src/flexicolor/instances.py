@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, compress, count, islice, repeat
@@ -16,7 +15,7 @@ from typing import Optional
 
 from .errors import FormatError, PreconditionError
 from .graph import Graph, KTreeOrder, TreedepthForest, validate_ktree_order
-from .listcolor import Request, validate_lists
+from .listcolor import KINDS, MAX_DIGITS, Request, validate_lists
 
 FORMAT_HEADER = "flexicolor-instance 1"
 
@@ -88,9 +87,10 @@ def _failures(g: Graph, L: dict, ktree, forest) -> tuple:
     )
 
 
-def format_fraction(x) -> str:
-    """The canonical spelling of a rational: "7" or "7/2", never "7/1"."""
-    f = Fraction(x)
+def format_fraction(x, scale: int = 1) -> str:
+    """The canonical spelling of the rational x / scale: "7" or "7/2",
+    never "7/1"."""
+    f = Fraction(x, scale)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -118,26 +118,20 @@ def serialize(inst: InstanceFile) -> str:
     r = inst.request
     if r is not None:
         lines.append(f"request-kind {r.kind}")
+        pairs = sorted(r.gain.items())
         if r.kind == "unweighted":
-            for v in sorted(r.prefs):
-                lines.append(f"request {v} {r.prefs[v]}")
-        elif r.kind == "unique":
-            for v in sorted(r.prefs):
-                lines.append(
-                    f"request {v} {r.prefs[v]} {format_fraction(r.weights[v])}"
-                )
+            lines += [f"request {v} {c}" for (v, c), _ in pairs]
         else:
-            for (v, c) in sorted(r.table):
-                lines.append(f"request {v} {c} {format_fraction(r.table[(v, c)])}")
+            lines += [
+                f"request {v} {c} {format_fraction(w, r.scale)}" for (v, c), w in pairs
+            ]
     return "\n".join(lines) + "\n"
 
 
 # A canonical integer as str() writes it, with no more digits than int()
-# converts (the interpreter's limit; 0 means none).  The patterns spell
-# digits as ASCII [0-9]: the regex digit class, like int(), also takes
-# the digits of other scripts.
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_MORE_DIGITS = f"[0-9]{{0,{_MAX_DIGITS - 1}}}" if _MAX_DIGITS else "[0-9]*"
+# converts (MAX_DIGITS).  The patterns spell digits as ASCII [0-9]: the
+# regex digit class, like int(), also takes the digits of other scripts.
+_MORE_DIGITS = f"[0-9]{{0,{MAX_DIGITS - 1}}}" if MAX_DIGITS else "[0-9]*"
 INT = f"(?:0|-?[1-9]{_MORE_DIGITS})"
 _NAT = f"(?:0|[1-9]{_MORE_DIGITS})"
 # a rational in any spelling; the value check keeps only canonical ones
@@ -164,19 +158,20 @@ def parse_ints(toks: list, lineno: int, what: str) -> list:
     return list(map(int, toks))
 
 
-def _canonical_fraction(tok: str) -> Optional[Fraction]:
-    """The rational `tok` spells if format_fraction writes it so, else None."""
+def _canonical_fraction(tok: str):
+    """The rational `tok` spells, an int if it has no "/", when
+    format_fraction writes it so; else None."""
     num, _, den = tok.partition("/")
     try:
-        value = Fraction(int(num), int(den) if den else 1)
+        value = Fraction(int(num), int(den)) if den else int(num)
     except (ValueError, ZeroDivisionError):
         return None
     return value if format_fraction(value) == tok else None
 
 
-def parse_fraction(tok: str, lineno: int, what: str) -> Fraction:
-    """The rational `tok` spells, which must be written as
-    format_fraction writes it."""
+def parse_fraction(tok: str, lineno: int, what: str):
+    """The rational `tok` spells, an int if it has no "/", which must be
+    written as format_fraction writes it."""
     value = _canonical_fraction(tok)
     if value is None:
         raise FormatError(f"bad {what} {tok!r}", line=lineno)
@@ -279,13 +274,15 @@ def _list_lines(text: str, pos: int, lineno: int, n: int) -> tuple:
 
 
 def _request_lines(text: str, pos: int, lineno: int, kind: str) -> tuple:
-    """(end, vertices, colors, weights) of the run of request lines at
-    text[pos:]; weights is None for an unweighted request."""
+    """(end, pairs, weights) of the run of request lines at text[pos:]:
+    the (vertex, color) pairs and their weights, None for an unweighted
+    request."""
     run = _REQUESTS if kind == "unweighted" else _WEIGHTED_REQUESTS
     end, cols = run.read(text, pos, lineno)
     vs, cs = list(map(int, cols[0])), list(map(int, cols[1]))
+    pairs = list(zip(vs, cs))
     # serialize sorts by vertex, and a weighted table by color next
-    flags = [increasing(list(zip(vs, cs)) if kind == "weighted" else vs)]
+    flags = [increasing(pairs if kind == "weighted" else vs)]
     weights = None
     if kind != "unweighted":
         values = {t: _canonical_fraction(t) for t in set(cols[2])}
@@ -298,7 +295,7 @@ def _request_lines(text: str, pos: int, lineno: int, kind: str) -> tuple:
             "request lines must strictly increase, weights written canonically",
             line=lineno + bad,
         )
-    return end, vs, cs, weights
+    return end, pairs, weights
 
 
 # section ranks keep the canonical order enforceable; only the keys in
@@ -333,9 +330,8 @@ class _Sections:
     ktree: Optional[KTreeOrder] = None
     forest: Optional[TreedepthForest] = None
     kind: Optional[str] = None
-    prefs: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
-    table: dict = field(default_factory=dict)
+    pairs: list = field(default_factory=list)
+    weights: Optional[list] = None
 
     def read(self, text: str, pos: int, i: int) -> int:
         """Read the sections of text[pos:], whose first line is line i,
@@ -404,27 +400,23 @@ class _Sections:
                     tuple(None if p == -1 else p for p in ps)
                 )
             elif key == "request-kind":
-                if len(args) != 1 or args[0] not in ("unweighted", "unique", "weighted"):
+                if len(args) != 1 or args[0] not in KINDS:
                     raise FormatError("unknown request kind", line=i)
                 self.kind = args[0]
             else:
                 if self.kind is None:
                     raise FormatError("request before request-kind", line=i)
-                end, vs, cs, ws = _request_lines(text, pos, i, self.kind)
-                lines = len(vs)
-                if self.kind == "weighted":
-                    self.table = dict(zip(zip(vs, cs), ws))
-                else:
-                    self.prefs = dict(zip(vs, cs))
-                    if self.kind == "unique":
-                        self.weights = dict(zip(vs, ws))
+                end, self.pairs, self.weights = _request_lines(
+                    text, pos, i, self.kind
+                )
+                lines = len(self.pairs)
             pos, i = end, i + lines
         return i
 
     def request(self) -> Optional[Request]:
         if self.kind is None:
             return None
-        return Request(self.kind, self.prefs, self.weights, self.table)
+        return Request.from_pairs(self.kind, self.pairs, self.weights)
 
 
 @dataclass(frozen=True)
@@ -646,16 +638,16 @@ def _random_request(
         return Request(
             "unique",
             prefs={v: rng.choice(sorted(L[v])) for v in vs},
-            weights={v: Fraction(rng.randint(1, 10)) for v in vs},
+            weights={v: rng.randint(1, 10) for v in vs},
         )
     table = {}
     for v in vs:
         for c in sorted(L[v]):
             if rng.random() < 0.5:
-                table[(v, c)] = Fraction(rng.randint(0, 10))
+                table[(v, c)] = rng.randint(0, 10)
     if not table:
         v = vs[0]
-        table[(v, sorted(L[v])[0])] = Fraction(1)
+        table[(v, sorted(L[v])[0])] = 1
     return Request("weighted", table=table)
 
 

@@ -10,12 +10,13 @@ non-negative integer colors; a coloring is a dict vertex -> color.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from math import lcm
-from operator import attrgetter, eq, floordiv, gt, itemgetter, mul
-from typing import Iterable, Optional, Union
+from itertools import compress
+from math import inf, lcm
+from operator import itemgetter, methodcaller
+from typing import Optional, Union
 
 from .errors import PreconditionError
 from .graph import Graph, choosable_coloring
@@ -39,125 +40,134 @@ def validate_lists(g: Graph, L: dict) -> None:
 # ---------------------------------------------------------------------------
 # Requests
 
+KINDS = ("unweighted", "unique", "weighted")
 
-def exact_sum(weights: Iterable) -> Fraction:
-    """The sum of the weights, of the value and type that adding them one
-    by one to Fraction(0) gives: a Fraction for rational weights.
+# the most digits int() and str() convert (the interpreter's limit; 0
+# means none): a request whose scale or scaled total has more is refused,
+# so every amount it states can be written
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_TOO_LONG = 10**MAX_DIGITS if MAX_DIGITS else None
 
-    The numerators are scaled to the least common denominator and added
-    as integers, so only one Fraction is built, where adding the
-    weights one by one normalises a Fraction at every step.
-    """
-    weights = list(weights)
+# an amount of a request: an int for an unweighted request, else a Fraction
+Amount = Union[int, Fraction]
+
+
+def _check_digits(x: int, what: str) -> None:
+    if _TOO_LONG is not None and abs(x) >= _TOO_LONG:
+        raise PreconditionError(
+            f"request {what} has more than {MAX_DIGITS} digits"
+        )
+
+
+def _over_one_scale(weights: list) -> Optional[tuple]:
+    """(nums, scale) of the weights, scale their least common denominator
+    and nums[i] the int weights[i] * scale; None if a weight is missing
+    or an infinite or nan float."""
+    if set(map(type, weights)) <= {int}:
+        return weights, 1
     try:
-        dens = list(map(attrgetter("denominator"), weights))
-    except AttributeError:  # a weight that is no rational, such as a float
-        return sum(weights, Fraction(0))
-    nums = map(attrgetter("numerator"), weights)
-    d = lcm(*set(dens))
-    if d == 1:
-        return Fraction(sum(nums))
-    return Fraction(sum(map(mul, nums, map(floordiv, repeat(d), dens))), d)
-
-
-def _least_numerator(weights: Iterable):
-    """The least numerator of the weights, whose sign is the weight's for
-    rationals (1 if there are none); None if a weight has no numerator,
-    such as a float or a missing weight."""
-    try:
-        return min(map(attrgetter("numerator"), weights), default=1)
-    except AttributeError:
+        ratios = list(map(methodcaller("as_integer_ratio"), weights))
+    except (AttributeError, ValueError, OverflowError):
         return None
+    scale = 1
+    for d in set(map(itemgetter(1), ratios)):
+        scale = lcm(scale, d)
+        _check_digits(scale, "common denominator")
+    return [n * (scale // d) for n, d in ratios], scale
 
 
-@dataclass(frozen=True)
+def _gain_table(kind: str, pairs: list, weights: Optional[list]) -> tuple:
+    """(gain, scale) of the request of `kind` whose (vertex, color) pairs
+    carry `weights` (None: 1 each): gain[pair] is its weight times scale,
+    the least common denominator of the weights."""
+    if kind not in KINDS:
+        raise PreconditionError(f"unknown request kind {kind!r}")
+    if weights is None:
+        return dict.fromkeys(pairs, 1), 1
+    scaled = _over_one_scale(weights)
+    if kind == "unique" and (scaled is None or min(scaled[0], default=1) <= 0):
+        v = next(v for (v, _), w in zip(pairs, weights) if w is None or not 0 < w < inf)
+        raise PreconditionError(
+            f"uniquely weighted request needs a positive weight at vertex {v}"
+        )
+    if scaled is None:
+        raise PreconditionError("a request weight is missing or not finite")
+    nums, scale = scaled
+    _check_digits(sum(nums), "scaled total")
+    return dict(zip(pairs, nums)), scale
+
+
+@dataclass(frozen=True, init=False)
 class Request:
-    """A color request on a graph.
+    """A color request on a graph: one table gain of (vertex, color) ->
+    int over one positive int scale, the pair weighing gain / scale.
 
-    kind "unweighted": prefs maps requested vertex -> preferred color.
+    kind "unweighted": prefs maps requested vertex -> preferred color,
+    each pair weighing 1.
     kind "unique": prefs plus a positive weight per requested vertex.
-    kind "weighted": table maps (vertex, color) -> non-negative weight.
+    kind "weighted": table maps (vertex, color) -> non-negative weight;
+    its zero entries stay in gain.
+    Weights are ints, Fractions or floats, and scale is the least common
+    denominator of them.  PreconditionError is raised for a unique
+    weight that is not positive, and for a scale or a scaled total with
+    more than MAX_DIGITS digits.
     """
 
     kind: str
-    prefs: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
-    table: dict = field(default_factory=dict)
+    gain: dict
+    scale: int
 
-    def __post_init__(self):
-        if self.kind not in ("unweighted", "unique", "weighted"):
-            raise PreconditionError(f"unknown request kind {self.kind!r}")
-        if self.kind == "unique":
-            least = _least_numerator(map(self.weights.get, self.prefs))
-            if least is not None and least > 0:
-                return
-            for v in self.prefs:
-                w = self.weights.get(v)
-                if w is None or w <= 0:
-                    raise PreconditionError(
-                        f"uniquely weighted request needs a positive weight "
-                        f"at vertex {v}"
-                    )
+    def __init__(self, kind: str, prefs=None, weights=None, table=None):
+        if kind == "weighted":
+            table = table or {}
+            pairs, ws = list(table), list(table.values())
+        else:
+            prefs = prefs or {}
+            pairs = list(prefs.items())
+            ws = None if kind == "unweighted" else list(map((weights or {}).get, prefs))
+        self._put(kind, *_gain_table(kind, pairs, ws))
+
+    @classmethod
+    def from_pairs(cls, kind: str, pairs: list, weights: Optional[list]) -> "Request":
+        """The request of `kind` whose (vertex, color) pairs, distinct and,
+        unless kind is "weighted", of distinct vertices, carry `weights`
+        (None for an unweighted request)."""
+        return cls.__new__(cls)._put(kind, *_gain_table(kind, pairs, weights))
+
+    def _put(self, kind: str, gain: dict, scale: int) -> "Request":
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "scale", scale)
+        return self
+
+    @property
+    def prefs(self) -> dict:
+        """A new dict of requested vertex -> color; only the kinds other
+        than "weighted" have one pair per vertex."""
+        return dict(self.gain.keys())
+
+    def amount(self, units: int) -> Amount:
+        """The amount `units` of gain states: units / scale."""
+        return units if self.kind == "unweighted" else Fraction(units, self.scale)
 
     def domain(self) -> set:
-        if self.kind == "weighted":
-            return {v for (v, c), w in self.table.items() if w > 0}
-        return set(self.prefs)
+        return {v for (v, _), w in self.gain.items() if w > 0}
 
-    def scaled_weight_map(self) -> tuple:
-        """(d, {(vertex, color): weight * d}) over every requested pair
-        with a positive weight, d the least common denominator of the
-        weights, so that they add and compare as ints: (1, 1 per
-        preference) for unweighted requests.  One pass over the pairs
-        reads numerators and denominators; they are rescaled only when
-        d > 1."""
-        if self.kind == "unweighted":
-            return 1, dict.fromkeys(self.prefs.items(), 1)
-        if self.kind == "unique":
-            pairs = self.prefs.items()
-            weights = list(map(self.weights.__getitem__, self.prefs))
-        else:
-            pairs, weights = self.table, list(self.table.values())
-        nums = map(attrgetter("numerator"), weights)
-        dens = list(map(attrgetter("denominator"), weights))
-        d = lcm(*set(dens))
-        if d > 1:
-            nums = map(mul, nums, map(floordiv, repeat(d), dens))
-        if self.kind == "unique":  # its weights are positive
-            return d, dict(zip(pairs, nums))
-        nums = list(nums)
-        return d, dict(compress(zip(pairs, nums), map(gt, nums, repeat(0))))
-
-    def total(self) -> Union[int, Fraction]:
-        if self.kind == "unweighted":
-            return len(self.prefs)
-        if self.kind == "unique":
-            return exact_sum(self.weights.values())
-        return exact_sum(self.table.values())
+    def total(self) -> Amount:
+        return self.amount(sum(self.gain.values()))
 
     def validate(self, g: Graph, L: dict) -> None:
-        if self.kind == "weighted":
-            least = _least_numerator(self.table.values())
-            check_signs = least is None or least < 0
-            for (v, c), w in self.table.items():
-                if not (0 <= v < g.n):
-                    raise PreconditionError(f"request vertex {v} out of range")
-                if c not in L[v]:
-                    raise PreconditionError(
-                        f"requested color {c} at vertex {v} is not in its list"
-                    )
-                if check_signs and w < 0:
-                    raise PreconditionError(
-                        f"negative weight at vertex {v}, color {c}"
-                    )
-            return
-        for v, c in self.prefs.items():
-            if not (0 <= v < g.n):
+        n = g.n
+        for (v, c), w in self.gain.items():
+            if 0 <= v < n and c in L[v] and w >= 0:
+                continue
+            if not (0 <= v < n):
                 raise PreconditionError(f"request vertex {v} out of range")
             if c not in L[v]:
                 raise PreconditionError(
                     f"requested color {c} at vertex {v} is not in its list"
                 )
+            raise PreconditionError(f"negative weight at vertex {v}, color {c}")
 
 
 def check_coloring(g: Graph, L: dict, coloring: dict) -> None:
@@ -176,25 +186,16 @@ def check_coloring(g: Graph, L: dict, coloring: dict) -> None:
             )
 
 
-def satisfied_count(coloring: dict, request: Request) -> Union[int, Fraction]:
+def satisfied_count(coloring: dict, request: Request) -> Amount:
     """How much of the request the coloring satisfies, without checking
-    the coloring: every requested vertex must be colored."""
-    color_of = coloring.__getitem__
-    if request.kind == "weighted":
-        table = request.table
-        vertices, colors = map(itemgetter(0), table), map(itemgetter(1), table)
-        hits = map(eq, map(color_of, vertices), colors)
-        return exact_sum(compress(table.values(), hits))
-    prefs = request.prefs
-    hits = map(eq, map(color_of, prefs), prefs.values())
-    if request.kind == "unweighted":
-        return sum(hits)
-    return exact_sum(map(request.weights.__getitem__, compress(prefs, hits)))
+    the coloring: a pair counts when coloring holds it."""
+    hits = map(coloring.items().__contains__, request.gain)
+    return request.amount(sum(compress(request.gain.values(), hits)))
 
 
 def satisfied_amount(
     g: Graph, L: dict, coloring: dict, request: Request
-) -> Union[int, Fraction]:
+) -> Amount:
     """How much of the request the coloring satisfies.
 
     Validates the coloring first; counting happens only on valid input.
@@ -211,17 +212,12 @@ def reduce_to_unique(request: Request) -> Request:
     """
     if request.kind != "weighted":
         raise PreconditionError("reduce_to_unique expects a general weighted request")
-    per_vertex: dict = {}
-    for (v, c), w in request.table.items():
-        per_vertex.setdefault(v, []).append((c, w))
-    prefs = {}
-    weights = {}
-    for v, entries in per_vertex.items():
-        c, w = max(entries, key=lambda cw: (cw[1], -cw[0]))
-        if w > 0:
-            prefs[v] = c
-            weights[v] = Fraction(w)
-    return Request(kind="unique", prefs=prefs, weights=weights)
+    best: dict = {}  # vertex -> (weight, -color) of its heaviest pair
+    for (v, c), w in request.gain.items():
+        if v not in best or (w, -c) > best[v]:
+            best[v] = (w, -c)
+    gain = {(v, -c): w for v, (w, c) in best.items() if w > 0}
+    return Request.__new__(Request)._put("unique", gain, request.scale)
 
 
 # ---------------------------------------------------------------------------

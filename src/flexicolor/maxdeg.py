@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import Graph, block_cut_tree, proper_coloring
 from .listcolor import (
+    Amount,
     Request,
     degree_choosable_coloring,
-    exact_sum,
     precolor_and_extend,
     reduce_to_unique,
     satisfied_amount,
@@ -46,9 +46,9 @@ class ComponentReport:
 @dataclass
 class SolverOutcome:
     coloring: dict
-    satisfied: Union[int, Fraction]
+    satisfied: Amount
     certified_fraction: Fraction
-    request_total: Union[int, Fraction]
+    request_total: Amount
     trace: dict = field(default_factory=dict)
 
 
@@ -204,7 +204,8 @@ def certified_fraction(g: Graph, L: dict, request: Request) -> tuple:
 
 def best_class(coloring: dict, R: set, weights: Optional[dict] = None) -> set:
     """The color class of the coloring restricted to R with the most
-    vertices, or the most weight (tie: smallest color)."""
+    vertices, or the most weight by the int weights vertex -> weight
+    (tie: smallest color)."""
     classes: dict = {}
     for v in R:
         classes.setdefault(coloring[v], set()).add(v)
@@ -213,7 +214,7 @@ def best_class(coloring: dict, R: set, weights: Optional[dict] = None) -> set:
     else:
         best = max(
             classes.items(),
-            key=lambda kv: (exact_sum(map(weights.__getitem__, kv[1])), -kv[0]),
+            key=lambda kv: (sum(map(weights.__getitem__, kv[1])), -kv[0]),
         )
     return best[1]
 
@@ -265,7 +266,7 @@ def solve_unweighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
         reports = classify_components(g, L, set(), {})
         trace = {"note": "empty request"}
         return _finish(g, L, {}, set(), reports, request, certified, trace)
-    prefs = dict(request.prefs)
+    prefs = request.prefs
     R_prime = best_class(brooks, set(prefs))
     chi_hat = len(set(brooks.values()))
     trace: dict = {"R_prime": sorted(R_prime), "chi_hat": chi_hat, "moves": []}
@@ -371,8 +372,8 @@ def solve_weighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
         reports = classify_components(g, L, set(), {})
         trace = {"note": "empty request"}
         return _finish(g, L, {}, set(), reports, request, certified, trace)
-    prefs = dict(unique.prefs)
-    weights = dict(unique.weights)
+    prefs = unique.prefs
+    weights = {v: w for (v, _), w in unique.gain.items()}
     R_prime = best_class(cube_coloring, set(prefs), weights)
     chi3 = len(set(cube_coloring.values()))
     trace.update(R_prime=sorted(R_prime), chi3=chi3)
@@ -407,8 +408,8 @@ def solve_weighted(g: Graph, L: dict, request: Request) -> SolverOutcome:
         r = min(candidates, key=lambda x: (weights[x], x))
         R_plus.add(r)
 
-    w_prime = exact_sum(map(weights.__getitem__, R_prime))
-    w_plus = exact_sum(map(weights.__getitem__, R_plus))
+    w_prime = sum(map(weights.__getitem__, R_prime))
+    w_plus = sum(map(weights.__getitem__, R_plus))
     if 2 * w_plus > w_prime:
         raise InternalInvariantError(
             "removed weight exceeds half the independent set's weight"

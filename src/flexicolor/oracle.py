@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import BudgetExceededError
 from .graph import Graph
-from .listcolor import Request
+from .listcolor import Amount, Request
 
 DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    optimum: Union[int, Fraction]
+    optimum: Amount
     coloring: Optional[dict]  # None iff no proper list coloring exists
     enumerated: int  # number of proper list colorings
     cells: int  # cells of the elimination order (see elimination_order)
@@ -179,17 +178,15 @@ def optimal_satisfaction(
 
     Bucket elimination (`_eliminate`) in the order of
     `elimination_order`, whose cells the budget bounds; above it
-    BudgetExceededError is raised before any table is built.  Weights
-    are exact rationals, scaled to integers by the common denominator.
+    BudgetExceededError is raised before any table is built.  The
+    tables add the ints of the request's gain table; the optimum is
+    their best sum stated as the request's amount (Request.amount).
     `enumerated` is the number of proper list colorings.  In the optimal
     coloring each vertex, in reverse elimination order, takes the
     smallest color that reaches the best value given the colors already
-    fixed on its scope.  The optimum is an int for unweighted requests
-    and a Fraction otherwise.  g, L and request must pass
+    fixed on its scope.  g, L and request must pass
     InstanceFile(g, L, request).validate().
     """
     order, scopes, cells = elimination_order(g, L, budget)
-    scale, gain = request.scaled_weight_map()
-    count, best, coloring = _eliminate(g, L, gain, order, scopes)
-    optimum = best if request.kind == "unweighted" else Fraction(best, scale)
-    return OracleResult(optimum, coloring, count, cells)
+    count, best, coloring = _eliminate(g, L, request.gain, order, scopes)
+    return OracleResult(request.amount(best), coloring, count, cells)

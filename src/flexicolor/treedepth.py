@@ -105,12 +105,11 @@ def derandomized_coloring(
     """
     if request.kind == "weighted":
         request = reduce_to_unique(request)
-    prefs = dict(request.prefs)
-    # phi is kept in ints: the weights are scaled by their common
-    # denominator, and at a root of level h the values of its colors by
-    # m = max(h - 1, 1) and phi before it by h
-    scale, gain = request.scaled_weight_map()
-    weights = {v: w for (v, _), w in gain.items()}
+    prefs = request.prefs
+    # phi is kept in ints: in units of the request's gain table, and at
+    # a root of level h the values of its colors scaled by m = max(h - 1,
+    # 1) and phi before it by h
+    weights = {v: w for (v, _), w in request.gain.items()}
     k = forest.height()
     lists = _trimmed_lists(g.n, L, prefs, k)
     out = {}
@@ -141,8 +140,8 @@ def derandomized_coloring(
                 best, color = value, c
         if best * h < before * m:
             raise InternalInvariantError(
-                f"estimator fell from {Fraction(before, h * scale)} to "
-                f"{Fraction(best, m * scale)} at root {root}"
+                f"estimator fell from {Fraction(before, h * request.scale)} to "
+                f"{Fraction(best, m * request.scale)} at root {root}"
             )
         out[root] = color
         if len(comp) > 1:
@@ -156,7 +155,7 @@ def derandomized_coloring(
     # starts at total/k: this is its end invariant and the paper's bound
     if satisfied * k < total:
         raise InternalInvariantError(
-            f"derandomized weight {Fraction(satisfied, scale)} is below the "
+            f"derandomized weight {Fraction(satisfied, request.scale)} is below the "
             f"estimator's start total/{k}"
         )
     return out

@@ -41,13 +41,13 @@ def best_of_family(
     as a dict vertex -> color.
 
     Averaging over the family guarantees the winner satisfies at least
-    total/period of the request weight.  The request's weights must be
-    rational.  g and L are not read: members are scored without being
-    checked, and the caller checks the winner.
+    total/period of the request weight.  g and L are not read: members
+    are scored on the request's gain table without being checked, and
+    the caller checks the winner.
     """
     if not family.members:
         raise PreconditionError("empty coloring family")
-    _, gain = request.scaled_weight_map()
+    gain = request.gain
     value, member = _first_best(family.members, gain)
     _check_averaging(value, family.period, sum(gain.values()))
     return dict(enumerate(member))
@@ -67,7 +67,7 @@ def _first_best(members, gain: dict) -> tuple:
 def _check_averaging(value: int, period: int, total: int) -> None:
     """By averaging, the best member of a family in which every pair
     appears in 1/period of the members satisfies total/period; value
-    and total are in the units of the request's scaled gain map."""
+    and total are sums of the request's gain table."""
     if value * period < total:
         raise InternalInvariantError(
             f"best member satisfies {value}, below total/{period} of {total}"
@@ -366,7 +366,7 @@ def lambda_family(
             f"family walk would visit {blocks} blocks of {g.n} vertices "
             f"each, above the cap of {FAMILY_CAP}"
         )
-    _, gain = request.scaled_weight_map()
+    gain = request.gain
     value, winner, members = _walk(g, order, lam, classes, L, range(g.n), gain)
     if members != size:
         raise InternalInvariantError(

@@ -513,7 +513,7 @@ def reference_derandomized_coloring(
 ) -> tuple:
     """(coloring, expectation) of the two-pass derandomizer."""
     td, lists, k = _start(g, forest, L, request)
-    weights = {v: Fraction(request.weights[v]) for v in td.prefs}
+    weights = {v: Fraction(w, request.scale) for (v, _), w in request.gain.items()}
     out = {}
     expectation = Fraction(0)
     for comp in g.components():

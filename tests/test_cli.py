@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -32,7 +33,8 @@ from flexicolor.instances import (
     serialize,
     two_cliques_matching,
 )
-from flexicolor.listcolor import Request
+from flexicolor.listcolor import MAX_DIGITS, Request
+from linecount import lines_run
 from reference import reference_parse_result
 from test_instances import OTHER_BODY
 from test_listcolor import prism
@@ -1007,6 +1009,103 @@ class TestOracleCommand:
         p.write_text("flexicolor-instance 1\nwat 1\n")
         code, _, err = run(["oracle", str(p)], capsys)
         assert code == 2 and err.startswith("error format")
+
+
+def first_primes(count: int) -> list:
+    primes, x = [], 2
+    while len(primes) < count:
+        if all(x % p for p in primes if p * p <= x):
+            primes.append(x)
+        x += 1
+    return primes
+
+
+def weighted_two_tree(n: int, weight) -> str:
+    """The document of random_ktree(1, n, 2) with a unique request on the
+    smallest color of every vertex v, of weight(v), written as text: the
+    request need not be one that Request accepts."""
+    inst = random_ktree(1, n, 2, request_kind="")
+    lines = [f"request {v} {min(inst.L[v])} {format_fraction(weight(v))}" for v in range(n)]
+    return serialize(inst) + "request-kind unique\n" + "\n".join(lines) + "\n"
+
+
+def prime_weights(n: int) -> str:
+    """weighted_two_tree with weight 1/p_v, p_v the (v+1)-th prime: the
+    scale is the product of the first n primes."""
+    primes = first_primes(n)
+    return weighted_two_tree(n, lambda v: Fraction(1, primes[v]))
+
+
+@pytest.mark.skipif(not MAX_DIGITS, reason="the interpreter converts ints of any size")
+class TestRequestDigits:
+    """A request whose common denominator or scaled total has more digits
+    than int() and str() convert gets one error line and exit status 2;
+    one below the limit is answered in full."""
+
+    def error(self, capsys, tmp_path, text, argv) -> str:
+        p = tmp_path / "inst.fi"
+        p.write_text(text)
+        code, out, err = run([argv[0], str(p), *argv[1:]], capsys)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, err
+        return err
+
+    def test_two_long_weights_on_a_path(self, capsys, tmp_path):
+        # each weight has the most digits a token may have; the two
+        # requests are not adjacent, so the optimum is their sum
+        w = "9" * MAX_DIGITS
+        text = (
+            "flexicolor-instance 1\nvertices 4\nedge 0 1\nedge 1 2\nedge 2 3\n"
+            + "".join(f"list {v} 1 2\n" for v in range(4))
+            + f"request-kind unique\nrequest 0 1 {w}\nrequest 2 1 {w}\n"
+        )
+        err = self.error(capsys, tmp_path, text, ["oracle"])
+        assert err == f"error format request scaled total has more than {MAX_DIGITS} digits\n"
+
+    def test_prime_denominators_past_the_limit(self, capsys, tmp_path):
+        err = self.error(capsys, tmp_path, prime_weights(2000), ["solve", "--method", "two-tree"])
+        assert err == (
+            f"error format request common denominator has more than {MAX_DIGITS} digits\n"
+        )
+
+    def test_prime_denominators_below_the_limit(self, capsys, tmp_path):
+        # the scale, the product of the first 1000 primes, has about
+        # 3,400 digits
+        p, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        p.write_text(prime_weights(1000))
+        code, _, _ = run(["solve", str(p), "--method", "two-tree", "--out", str(res)], capsys)
+        assert code == 0
+        # the result document, pinned byte for byte
+        assert hashlib.sha256(res.read_bytes()).hexdigest() == (
+            "046345a4817c4f4ad85971bd8fc45e93f25e8ec188143006bd49792b1ca0ee78"
+        )
+        code, out, _ = run(["verify", str(p), str(res)], capsys)
+        assert code == 0 and out.endswith(" bound-met=yes\n")
+
+    def test_solve_and_verify_work_doubles_with_n(self, capsys, tmp_path):
+        # weights 1/(1 + v mod 12), scale 27,720: solve and verify are
+        # linear in n, so doubling it doubles the lines run; a quadratic
+        # step, such as rescaling every weight per amount, gives 4
+        def work(n):
+            p, res = tmp_path / f"inst{n}.fi", tmp_path / f"r{n}.txt"
+            p.write_text(weighted_two_tree(n, lambda v: Fraction(1, 1 + v % 12)))
+
+            def solve_and_verify():
+                argv = ["solve", str(p), "--method", "two-tree", "--out", str(res)]
+                return main(argv), main(["verify", str(p), str(res)])
+
+            lines, codes = lines_run(solve_and_verify)
+            assert codes == (0, 0)
+            return lines
+
+        ratio = work(4000) / work(2000)
+        assert ratio < 3, ratio
+        capsys.readouterr()
+        # past the limit, the refusal stays one line however long the
+        # document
+        err = self.error(capsys, tmp_path, prime_weights(4000), ["solve", "--method", "two-tree"])
+        assert err == (
+            f"error format request common denominator has more than {MAX_DIGITS} digits\n"
+        )
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from flexicolor.listcolor import (
     Request,
     check_coloring,
     degree_choosable_coloring,
-    exact_sum,
     precolor_and_extend,
     reduce_to_unique,
     satisfied_amount,
@@ -177,7 +177,7 @@ class TestReduceToUnique:
         )
         u = reduce_to_unique(r)
         assert u.kind == "unique"
-        assert u.prefs == {0: 2} and u.weights[0] == 5
+        assert u.prefs == {0: 2} and u.total() == 5
 
     def test_drops_zero_weight_vertices(self):
         r = Request("weighted", table={(0, 1): Fraction(0), (1, 1): Fraction(1)})
@@ -205,8 +205,9 @@ weights = st.fractions(min_value=0, max_value=20, max_denominator=12)
 
 @st.composite
 def colored_requests(draw):
-    """A path with lists {1, 2, 3}, a proper coloring of it and a request
-    of any kind with integer or fractional weights."""
+    """A path with lists {1, 2, 3}, a proper coloring of it, a request of
+    any kind with integer or fractional weights, and the weight of each
+    of its (vertex, color) pairs as drawn (1 for an unweighted one)."""
     n = draw(st.integers(1, 12))
     g = Graph(n, [(v, v + 1) for v in range(n - 1)])
     L = {v: {1, 2, 3} for v in range(n)}
@@ -218,53 +219,52 @@ def colored_requests(draw):
         keys = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 3)),
                              unique=True))
         table = {key: draw(weights) for key in keys}
-        return g, L, coloring, Request("weighted", table=table)
+        return g, L, coloring, Request("weighted", table=table), table
     prefs = {v: draw(st.integers(1, 3)) for v in vs}
     if kind == "unweighted":
-        return g, L, coloring, Request("unweighted", prefs=prefs)
+        drawn = dict.fromkeys(prefs.items(), 1)
+        return g, L, coloring, Request("unweighted", prefs=prefs), drawn
     ws = {v: draw(weights.filter(lambda w: w > 0)) for v in vs}
-    return g, L, coloring, Request("unique", prefs=prefs, weights=ws)
+    drawn = {(v, c): ws[v] for v, c in prefs.items()}
+    return g, L, coloring, Request("unique", prefs=prefs, weights=ws), drawn
 
 
-class TestExactSums:
-    """total, satisfied_amount and scaled_weight_map sum over one common
-    denominator; the value and the type are those of adding Fractions
-    one by one."""
+class TestGainTable:
+    """A request holds one int table over one scale; its totals and
+    satisfied amounts are int sums stated over the scale."""
 
     @settings(max_examples=300, deadline=None)
     @given(colored_requests())
-    def test_equal_to_one_by_one_sums(self, case):
-        g, L, coloring, r = case
-        if r.kind == "unweighted":
-            total = len(r.prefs)
-            hit = sum(1 for v, c in r.prefs.items() if coloring[v] == c)
-        elif r.kind == "unique":
-            total = sum(r.weights.values(), Fraction(0))
-            hit = sum((r.weights[v] for v, c in r.prefs.items() if coloring[v] == c),
-                      Fraction(0))
-        else:
-            total = sum(r.table.values(), Fraction(0))
-            hit = sum((w for (v, c), w in r.table.items() if coloring[v] == c),
-                      Fraction(0))
+    def test_amounts_equal_one_by_one_sums(self, case):
+        g, L, coloring, r, drawn = case
+        # added one by one: ints for an unweighted request, else Fractions
+        start = 0 if r.kind == "unweighted" else Fraction(0)
+        total = sum(drawn.values(), start)
+        hit = sum((w for (v, c), w in drawn.items() if coloring[v] == c), start)
         got_total, got_hit = r.total(), satisfied_amount(g, L, coloring, r)
         assert (got_total, type(got_total)) == (total, type(total))
         assert (got_hit, type(got_hit)) == (hit, type(hit))
-        # the pairs of positive weight, each scaled to an int
-        scale, gain = r.scaled_weight_map()
-        positive = (
-            [vc for vc, w in r.table.items() if w > 0]
-            if r.kind == "weighted" else list(r.prefs.items())
-        )
-        assert list(gain) == positive
-        assert all(type(x) is int and x > 0 for x in gain.values())
-        assert Fraction(sum(gain.values()), scale) == total
-        assert Fraction(sum(x for (v, c), x in gain.items() if coloring[v] == c),
-                        scale) == hit
 
-    def test_exact_sum_of_nothing_and_of_integers(self):
-        assert exact_sum([]) == 0 and type(exact_sum([])) is Fraction
-        assert exact_sum([Fraction(1, 2), Fraction(1, 3), 2]) == Fraction(17, 6)
-        assert exact_sum([Fraction(1, 2), 0.25]) == 0.75 == sum([Fraction(1, 2), 0.25])
+    @settings(max_examples=300, deadline=None)
+    @given(colored_requests())
+    def test_table_is_the_weights_over_one_scale(self, case):
+        _, _, _, r, drawn = case
+        assert all(type(x) is int and x >= 0 for x in r.gain.values())
+        assert type(r.scale) is int and r.scale >= 1
+        assert Fraction(sum(r.gain.values()), r.scale) == r.total()
+        # every pair, zero weights too, in the order given
+        assert list(r.gain) == list(drawn)
+        assert all(Fraction(x, r.scale) == drawn[vc] for vc, x in r.gain.items())
+        # the least common denominator: no smaller scale holds every
+        # weight as an int
+        assert gcd(r.scale, *r.gain.values()) == 1
+
+    def test_zero_entries_of_a_table_stay(self):
+        table = {(0, 1): Fraction(1, 2), (0, 2): 0, (1, 1): 0.25, (2, 1): 0}
+        r = Request("weighted", table=table)
+        assert r.gain == {(0, 1): 2, (0, 2): 0, (1, 1): 1, (2, 1): 0} and r.scale == 4
+        assert r.domain() == {0, 1}
+        assert r.total() == Fraction(3, 4)
 
 
 class TestDegreeChoosable:

@@ -22,13 +22,8 @@ from reference import bruteforce_bad_component
 def reference_dfs(g: Graph, L: dict, request: Request) -> tuple:
     """(optimum, enumerated) by visiting every proper list coloring
     depth-first, vertices in the order 0, 1, ..., n - 1."""
-    if request.kind == "unweighted":
-        gain, zero = {vc: 1 for vc in request.prefs.items()}, 0
-    elif request.kind == "unique":
-        gain = {(v, c): request.weights[v] for v, c in request.prefs.items()}
-        zero = Fraction(0)
-    else:
-        gain, zero = dict(request.table), Fraction(0)
+    gain = {vc: request.amount(w) for vc, w in request.gain.items()}
+    zero = request.amount(0)
     best = [None, 0]  # value, leaves
     color = {}
 
