@@ -105,11 +105,13 @@ def _infer_classes(L: dict, lam: tuple) -> tuple:
     CLASS_SEARCH_NODES.
     """
     no_partition = f"lists admit no color-class partition with parts {lam}"
+    # each node scans the distinct lists: the parser shares one per spelling
+    lists = set(map(frozenset, L.values()))
     # every list takes lam[i] colors from each class i, so sum(lam) in all
     size = sum(lam)
-    if any(len(lst) != size for lst in L.values()):
+    if any(len(lst) != size for lst in lists):
         raise PreconditionError(no_partition)
-    palette = sorted(set().union(*L.values()))
+    palette = sorted(set().union(*lists))
     t = len(lam)
     assign: dict = {}
     nodes = 0
@@ -123,7 +125,7 @@ def _infer_classes(L: dict, lam: tuple) -> tuple:
             raise BudgetExceededError(
                 f"color-class search passed {CLASS_SEARCH_NODES} nodes"
             )
-        for lst in L.values():
+        for lst in lists:
             done = [0] * t
             for c in lst:
                 if c in assign:
@@ -186,9 +188,13 @@ def _solve(args) -> int:
     else:
         certified = _certified_fraction(method, inst)
         if method == "two-tree":
-            # one build per parsed body, named here so that a tracer
-            # rebinding two_tree_family counts the builds
-            family = inst.body_fact("two-tree family", two_tree_family)
+            # kept on g while the order and the lists stay equal by value;
+            # built by this module's name, so tracers that rebind it count
+            order = inst.ktree
+            lists = tuple(map(frozenset, map(L.__getitem__, range(g.n))))
+            family = g.fact(
+                "two-tree family", (order, lists), lambda: two_tree_family(g, order, L)
+            )
             coloring = best_of_family(g, L, family, request)
         elif method == "lambda":
             if not args.lam:

@@ -23,9 +23,9 @@ from .errors import (
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.  It keeps
-    the proper colorings proper_coloring made of it, by (power, mode)."""
+    one value per fact, rebuilt when its inputs differ (see `fact`)."""
 
-    __slots__ = ("n", "_adj", "_edges", "_colorings")
+    __slots__ = ("n", "_adj", "_edges", "_facts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -46,7 +46,7 @@ class Graph:
         self.n = n
         self._edges = tuple(sorted(seen))
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._colorings = {}
+        self._facts = {}
 
     @classmethod
     def _from_sorted(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -63,8 +63,18 @@ class Graph:
         g.n = n
         g._edges = tuple(edges)
         g._adj = tuple(map(tuple, adj))
-        g._colorings = {}
+        g._facts = {}
         return g
+
+    def fact(self, name, key, build):
+        """build(), kept under name with key, the inputs it was built
+        from, and returned while the kept key is key or equals it; another
+        key builds again.  A build that raises keeps nothing.  Callers
+        share the value, so it must not be mutated."""
+        kept = self._facts.get(name)
+        if kept is None or not (kept[0] is key or kept[0] == key):
+            kept = self._facts[name] = (key, build())
+        return kept[1]
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -429,23 +439,17 @@ def choosable_coloring(g: Graph, lists) -> Optional[dict]:
 def _brooks_coloring(g: Graph) -> dict[int, int]:
     """Proper coloring of a connected graph with at most max_degree
     colors: the degree-choosable construction with every list
-    range(max_degree), after the parity coloring of paths and even
-    cycles.  It is checked at every edge."""
+    range(max_degree).  It is checked at every edge."""
     g.require_connected()
     delta = g.max_degree()
     if g.is_complete():
         raise BrooksObstructionError("complete graph")
     if g.is_cycle() and g.n % 2 == 1:
         raise BrooksObstructionError("odd cycle")
-    if delta <= 2:
-        # path or even cycle: 2-color by BFS parity
-        dist = g.bfs_distances(0)
-        color = {v: dist[v] % 2 for v in range(g.n)}
-    else:
-        color = choosable_coloring(g, [range(delta)] * g.n)
-        if color is None:
-            # a regular Gallai tree is a single clique or odd cycle
-            raise InternalInvariantError("Brooks coloring met a tight Gallai tree")
+    color = choosable_coloring(g, [range(delta)] * g.n)
+    if color is None:
+        # a regular Gallai tree is a single clique or odd cycle
+        raise InternalInvariantError("Brooks coloring met a tight Gallai tree")
     for u, v in g.edges:
         if color[u] == color[v]:
             raise InternalInvariantError(f"improper Brooks coloring at edge ({u},{v})")
@@ -502,7 +506,8 @@ def proper_coloring(g: Graph, power: int, mode: str) -> dict[int, int]:
     at most maxdeg colors and fails on complete graphs and odd cycles.
 
     Each (power, mode) is colored once per graph: g keeps the coloring
-    and every call gets a copy of it.  A call that raises keeps nothing.
+    as a fact and every call gets a copy of it.  A call that raises keeps
+    nothing.
     """
     if power not in (1, 3):
         raise PreconditionError(f"power must be 1 or 3, got {power}")
@@ -510,12 +515,9 @@ def proper_coloring(g: Graph, power: int, mode: str) -> dict[int, int]:
         raise PreconditionError(f"unknown coloring mode {mode!r}")
     if mode == "brooks" and power != 1:
         raise PreconditionError(f"Brooks coloring needs power 1, got {power}")
-    colorings, key = g._colorings, (power, mode)
-    if key not in colorings:
-        colorings[key] = (
-            _greedy_coloring(g, power) if mode == "greedy" else _brooks_coloring(g)
-        )
-    return dict(colorings[key])
+    return dict(g.fact((power, mode), None, lambda: (
+        _greedy_coloring(g, power) if mode == "greedy" else _brooks_coloring(g)
+    )))
 
 
 # ---------------------------------------------------------------------------

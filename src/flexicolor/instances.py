@@ -22,6 +22,9 @@ FORMAT_HEADER = "flexicolor-instance 1"
 
 @dataclass
 class InstanceFile:
+    """A graph, its lists and optionally a request, a k-tree order and a
+    forest.  What they alone determine is kept on g by Graph.fact."""
+
     g: Graph
     L: dict
     request: Optional[Request] = None
@@ -29,25 +32,6 @@ class InstanceFile:
     forest: Optional[TreedepthForest] = None
     name: str = ""
     seed: Optional[int] = None
-    # the parsed body this instance came from; None unless parse made it
-    _body: Optional["_Body"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def body_fact(self, key: str, build):
-        """build(g, ktree, L) for the body parse read this instance from,
-        built once from the body's own graph, order and lists and kept
-        on the body under key: every parse of that body shares it while
-        the body stays in parse's slot, so it must not be mutated.  An
-        instance parse did not make gets build(self.g, self.ktree,
-        self.L) on every call.  A build that raises keeps nothing."""
-        body = self._body
-        if body is None:
-            return build(self.g, self.ktree, self.L)
-        facts = body.facts
-        if key not in facts:
-            facts[key] = build(body.g, body.sections.ktree, body.sections.L)
-        return facts[key]
 
     def validate(self) -> None:
         """The one check of the instance invariants: the lists, the
@@ -70,7 +54,8 @@ class InstanceFile:
 
 def _failures(g: Graph, L: dict, ktree, forest) -> tuple:
     """The failure messages of the checks of the lists, the k-tree order
-    and the forest, None for each that passes or is absent."""
+    and the forest, None for each that passes or is absent.  g keeps the
+    verdicts on the order and the forest."""
 
     def failure(check, *args) -> Optional[str]:
         try:
@@ -79,11 +64,15 @@ def _failures(g: Graph, L: dict, ktree, forest) -> tuple:
             return str(exc)
         return None
 
-    bad = None if ktree is None else validate_ktree_order(g, ktree)
+    bad = None if ktree is None else g.fact(
+        "k-tree order", ktree, lambda: validate_ktree_order(g, ktree)
+    )
     return (
         failure(validate_lists, g, L),
         None if bad is None else f"order invalid at position {bad.index}: {bad.message}",
-        None if forest is None else failure(forest.validate, g),
+        None if forest is None else g.fact(
+            "forest", forest, lambda: failure(forest.validate, g)
+        ),
     )
 
 
@@ -426,15 +415,13 @@ class _Body:
     checks, kept for parse to raise once it has read the tail, which
     carries on from the rank of `sections` and from line `lineno`.  g is
     None when `missing` is set; `sections.L` is never handed out, each
-    parse gets a copy.  `facts` holds what InstanceFile.body_fact built
-    from the body."""
+    parse gets a copy."""
 
     sections: _Sections
     lineno: int
     g: Optional[Graph]
     missing: Optional[str]
     failures: tuple
-    facts: dict = field(default_factory=dict, compare=False)
 
 
 def _read_body(body: str) -> _Body:
@@ -474,8 +461,8 @@ def parse(text: str) -> InstanceFile:
     The body of the document, its lines before the first one that starts
     with "request-kind", is read, built and checked once per process for
     as long as it is the last body parsed: a document with the same body
-    reuses its graph, lists, order and forest, and what body_fact built
-    from them, and only the tail, the request, is read and checked
+    reuses its graph, with the facts kept on it, and its lists, order
+    and forest, and only the tail, the request, is read and checked
     again.  The result and the first error do not depend on it; the
     lists of the result are frozensets.
     """
@@ -504,7 +491,6 @@ def parse(text: str) -> InstanceFile:
         inst._raise_first(*body.failures)
     except PreconditionError as exc:
         raise FormatError(str(exc))
-    inst._body = body
     return inst
 
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from flexicolor import instances
+
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 POOL_SHA256 = {
@@ -47,3 +49,19 @@ def pool_sha256(workloads, name: str, seed: int, directory: str) -> str:
 def test_seed_one_pool_is_pinned(name, tmp_path):
     workloads = load_workloads()
     assert pool_sha256(workloads, name, 1, str(tmp_path)) == POOL_SHA256[name]
+
+
+def test_ktree_shared_pool_checks_each_order_once(tmp_path, monkeypatch):
+    """The pool serializes 8 or 6 documents on each of its 8 bodies;
+    each body's graph keeps the verdict on its order, so the generator's
+    check serves every serialization."""
+    checks = []
+    validate = instances.validate_ktree_order
+    monkeypatch.setattr(
+        instances,
+        "validate_ktree_order",
+        lambda g, order: checks.append(g) or validate(g, order),
+    )
+    jobs = load_workloads().build("ktree-shared", 1, str(tmp_path))
+    assert len(jobs) == 56
+    assert len(checks) == len(set(map(id, checks))) == 8

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -19,7 +20,7 @@ from flexicolor import cli, graph, listcolor, treedepth, treewidth
 from flexicolor.cli import _parse_result, main
 from flexicolor.degeneracy import first_among_neighbors
 from flexicolor.errors import BudgetExceededError, FormatError
-from flexicolor.graph import TreedepthForest
+from flexicolor.graph import KTreeOrder, TreedepthForest
 from flexicolor.instances import (
     InstanceFile,
     fig_3tree,
@@ -709,7 +710,8 @@ BODY_FACT_CASES = [
 
 class TestBodyFacts:
     """The 2-tree family and the proper colorings of g are made once per
-    parsed body, and change no answer; a failed build is not kept."""
+    graph while their inputs stay equal, and change no answer; a failed
+    build is not kept."""
 
     def answer(self, capsys, path, method, res) -> tuple:
         """(exit status, result document, stderr) of a solve and the
@@ -779,6 +781,56 @@ class TestBodyFacts:
         )
         assert answers == answers[:1] * 3
         assert len(builds) == 3
+
+    def parsed_two_tree(self, path):
+        """A 2-tree document at path, parsed from cold."""
+        path.write_text(same_body_documents(random_ktree(3, 40, 2), 1)[0])
+        parse(OTHER_BODY)
+        return parse(path.read_text())
+
+    def test_copied_and_hand_built_instances_reuse_the_family(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        parsed = self.parsed_two_tree(path)
+        builds = record_calls(monkeypatch, treewidth.two_tree_family)
+        cold = self.answer(capsys, path, "two-tree", res)
+        assert cold[0] == 0 and cold[3][0] == 0 and len(builds) == 1
+        # the same graph, with lists and an order equal by value
+        by_hand = InstanceFile(
+            parsed.g,
+            {v: set(lst) for v, lst in parsed.L.items()},
+            parsed.request,
+            KTreeOrder(2, tuple(list(parsed.ktree.sequence))),
+        )
+        for inst in (dataclasses.replace(parsed), by_hand):
+            monkeypatch.setattr(cli, "_load_instance", lambda _, inst=inst: inst)
+            assert self.answer(capsys, path, "two-tree", res) == cold
+        assert len(builds) == 1
+
+    def test_a_list_changed_in_place_rebuilds_the_family(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path, res = tmp_path / "inst.fi", tmp_path / "r.txt"
+        parsed = self.parsed_two_tree(path)
+        L = {v: set(lst) for v, lst in parsed.L.items()}
+        inst = InstanceFile(parsed.g, L, parsed.request, parsed.ktree)
+        builds = record_calls(monkeypatch, treewidth.two_tree_family)
+        load = cli._load_instance
+        monkeypatch.setattr(cli, "_load_instance", lambda _: inst)
+        assert self.answer(capsys, path, "two-tree", res)[0] == 0
+        v = next(v for v in range(parsed.g.n) if v not in parsed.request.domain())
+        new = min(set(range(1, 6)) - L[v])
+        L[v].remove(max(L[v]))
+        L[v].add(new)
+        changed = self.answer(capsys, path, "two-tree", res)
+        assert len(builds) == 2
+        # the same answer as a cold parse of the changed instance gives
+        monkeypatch.setattr(cli, "_load_instance", load)
+        path.write_text(serialize(inst))
+        parse(OTHER_BODY)
+        assert self.answer(capsys, path, "two-tree", res) == changed
+        assert changed[0] == 0 and changed[3][0] == 0 and len(builds) == 3
 
 
 def record_calls(monkeypatch, fn) -> list:
@@ -1106,6 +1158,28 @@ class TestRequestDigits:
         assert err == (
             f"error format request common denominator has more than {MAX_DIGITS} digits\n"
         )
+
+
+class TestCommandWork:
+    """A command runs a number of Python lines linear in its document:
+    doubling n about doubles them, where a quadratic step gives 4."""
+
+    def test_treedepth_solve_and_verify_work_doubles_with_n(self, capsys, tmp_path):
+        def work(n):
+            p, res = tmp_path / f"inst{n}.fi", tmp_path / f"r{n}.txt"
+            p.write_text(serialize(random_treedepth(1, n, 4, request_size=n // 4)))
+
+            def solve_and_verify():
+                argv = ["solve", str(p), "--method", "treedepth", "--out", str(res)]
+                return main(argv), main(["verify", str(p), str(res)])
+
+            lines, codes = lines_run(solve_and_verify)
+            assert codes == (0, 0)
+            return lines
+
+        ratio = work(4000) / work(2000)
+        assert ratio < 3, ratio
+        capsys.readouterr()
 
 
 class TestEntryPoint:

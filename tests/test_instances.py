@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexicolor import instances
 from flexicolor.errors import FormatError, PreconditionError
+from flexicolor.graph import Graph, KTreeOrder, TreedepthForest, validate_ktree_order
 from flexicolor.instances import (
     FIXTURES,
     InstanceFile,
@@ -541,35 +543,82 @@ class TestWarmSlot:
         third = parse(text)
         assert serialize(third) == text and third.g is first.g
 
-    def test_body_facts_are_built_once_from_the_body(self):
-        text = serialize(random_ktree(4, 12, 2))
-        parse(OTHER_BODY)
+
+class TestGraphFacts:
+    """A graph keeps one value per fact name, rebuilt when the key the
+    value was built for differs; the instance checks keep their verdicts
+    on the order and the forest there."""
+
+    def test_one_value_per_name_while_the_key_is_equal(self):
+        g = Graph(3, [(0, 1), (1, 2)])
         built = []
 
-        def build(*args):
-            built.append(args)
-            return len(built)
+        def build(value):
+            return lambda: built.append(value) or value
 
-        def refuse(*args):
-            built.append(args)
+        key = (1, frozenset({2}))
+        assert g.fact("a", key, build("x")) == "x"
+        # a key equal by value, not the same object, gets the kept value
+        assert g.fact("a", (1, frozenset({2})), build("y")) == "x"
+        assert g.fact("b", key, build("z")) == "z"
+        assert g.fact("a", key, build("w")) == "x"
+        # a kept None is a value like any other
+        assert g.fact("c", key, build(None)) is None
+        assert g.fact("c", key, build("v")) is None
+        assert built == ["x", "z", None]
+        # another key builds again and replaces the kept value
+        assert g.fact("a", (2,), build("u")) == "u"
+        assert g.fact("a", key, build("t")) == "t"
+        assert built == ["x", "z", None, "u", "t"]
+
+        def refuse():
+            built.append("refused")
             raise PreconditionError("refused")
 
-        first = parse(text)
-        first.L = {}  # the fact is of the body, not of this instance
-        assert first.body_fact("fact", build) == 1
-        assert parse(text).body_fact("fact", build) == 1
-        assert built == [(first.g, first.ktree, parse(text).L)]
-        for _ in range(2):  # a build that raises keeps nothing
+        # a build that raises keeps nothing, so it runs on every call,
+        # and the value kept before it stays
+        for _ in range(2):
             with pytest.raises(PreconditionError, match="refused"):
-                parse(text).body_fact("refusal", refuse)
-        assert len(built) == 3
-        # an instance parse did not make builds from its own fields, each
-        # time, and so does a copy of a parsed one
-        for inst in (dataclasses.replace(first), InstanceFile(first.g, {})):
-            for _ in range(2):
-                assert inst.body_fact("fact", build) == len(built)
-                assert built[-1] == (inst.g, inst.ktree, inst.L)
-        assert len(built) == 7
+                g.fact("a", (3,), refuse)
+        assert g.fact("a", key, build("s")) == "t"
+        assert built[5:] == ["refused", "refused"]
+        # an equal graph keeps its own facts
+        assert Graph(3, [(0, 1), (1, 2)]).fact("a", key, build("r")) == "r"
+
+    def test_serialize_checks_an_order_once(self, monkeypatch):
+        made = random_ktree(4, 12, 2)
+        # a graph of its own, so that the generator's check is not kept
+        inst = dataclasses.replace(made, g=Graph(made.g.n, made.g.edges))
+        bad = KTreeOrder(2, made.ktree.sequence[::-1])
+        checks = []
+
+        def validate(g, order):
+            checks.append(order)
+            return validate_ktree_order(g, order)
+
+        monkeypatch.setattr(instances, "validate_ktree_order", validate)
+        texts = {serialize(inst) for _ in range(8)}
+        assert texts == {serialize(made)} and checks == [made.ktree]
+        inst.ktree = bad
+        errors = []
+        for _ in range(8):
+            with pytest.raises(PreconditionError, match="order invalid") as exc:
+                serialize(inst)
+            errors.append(str(exc.value))
+        assert errors == errors[:1] * 8 and checks == [made.ktree, bad]
+
+    def test_serialize_checks_a_forest_once(self, monkeypatch):
+        made = random_treedepth(4, 12, 3)
+        inst = dataclasses.replace(made, g=Graph(made.g.n, made.g.edges))
+        checks = []
+        validate = TreedepthForest.validate
+        monkeypatch.setattr(
+            TreedepthForest,
+            "validate",
+            lambda forest, g: checks.append(g) or validate(forest, g),
+        )
+        assert {serialize(inst) for _ in range(8)} == {serialize(made)}
+        assert checks == [inst.g]
 
 
 class TestParseScaling:
